@@ -360,16 +360,16 @@ func BenchmarkSampledThroughput(b *testing.B) {
 // BenchmarkPipelinedThroughput measures the end-to-end RunContext hot
 // path — the exact route engine runs take — on the baseline
 // (prefetcher-free) configuration that is eligible for lane sharding,
-// comparing the serial path against pipelined decode and region-sharded
-// lanes. ns/op is ns/record. All legs produce bit-identical Results (the
-// sim suite asserts it); this benchmark measures only what each costs.
+// comparing the serial path against region-sharded lanes. ns/op is
+// ns/record. All legs produce bit-identical Results (the sim suite
+// asserts it); this benchmark measures only what each costs.
 //
-// Prefetch-stage and lane-runner setup reallocates per RunContext call,
-// so the pipelined legs are not 0 allocs/op like the Step-loop
-// benchmarks. The corpus is large enough to amortize that setup to
-// ~10^-3 allocations per record; the reported allocs/record metric is
-// the amortized figure, and scripts/bench.sh --check gates it at ≤0.01
-// (the integer allocs/op column truncates and cannot express it).
+// Lane-runner setup reallocates per RunContext call, so the lanes legs
+// are not 0 allocs/op like the Step-loop benchmarks. The corpus is large
+// enough to amortize that setup to ~10^-3 allocations per record; the
+// reported allocs/record metric is the amortized figure, and
+// scripts/bench.sh --check gates it at ≤0.01 (the integer allocs/op
+// column truncates and cannot express it).
 func BenchmarkPipelinedThroughput(b *testing.B) {
 	w, err := workload.ByName("oltp-oracle")
 	if err != nil {
@@ -381,12 +381,7 @@ func BenchmarkPipelinedThroughput(b *testing.B) {
 		name string
 		exec sim.Exec
 	}{
-		// Each leg isolates one mechanism: decode-ahead pays off against
-		// sources that decode on demand (generators, disk traces) and is
-		// pure copy overhead on this in-memory corpus, so the lanes legs
-		// run without it — their fan-out reads zero-copy views directly.
 		{"serial", sim.Exec{}},
-		{"ahead2", sim.Exec{DecodeAhead: 2}},
 		{"lanes2", sim.Exec{Lanes: 2}},
 		{"lanes8", sim.Exec{Lanes: 8}},
 	}

@@ -48,7 +48,6 @@ func main() {
 		ghbEntries = flag.Int("ghb-entries", 256, "GHB history buffer entries")
 		storeDir   = flag.String("store", "", "persistent result store directory (shared with smsexp/smsd)")
 		runPar     = flag.Int("run-parallel", 0, "region-sharded simulation lanes inside the run (0/1 = serial; results are bit-identical)")
-		ahead      = flag.Int("decode-ahead", 0, "decode the trace this many batches ahead of the simulator (0 = inline)")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
 		traceOut   = flag.String("trace-out", "", "write run-phase spans as Chrome trace-event JSON (load via chrome://tracing or ui.perfetto.dev)")
@@ -114,7 +113,7 @@ func main() {
 		phtEntries = -1
 	}
 
-	opts := exp.Options{CPUs: *cpus, Seed: *seed, Length: *length, RunParallel: *runPar, DecodeAhead: *ahead}
+	opts := exp.Options{CPUs: *cpus, Seed: *seed, Length: *length, RunParallel: *runPar}
 	cfg := sim.Config{
 		Coherence:      opts.MemorySystem(64),
 		Geometry:       geo,

@@ -1,7 +1,8 @@
 // Command smstrace is the trace-file toolchain: it captures workload
 // traces into the repository's seekable columnar v2 format, converts
-// between format versions, slices record ranges out of existing files,
-// and inspects files via the O(1) footer index.
+// legacy v1 files to v2, slices record ranges out of existing files, and
+// inspects files via the O(1) footer index. Every command reads both
+// formats (sniffed from the header) and writes v2.
 //
 // Subcommands:
 //
@@ -10,7 +11,7 @@
 //	smstrace stat    -i trace.smst [-full]
 //	smstrace dump    -i trace.smst [-n 20] [-skip N]
 //	smstrace slice   -i trace.smst -o slice.smst -skip N [-n COUNT]
-//	smstrace convert -i old.smst -o new.smst [-to v2]
+//	smstrace convert -i old.smst -o new.smst
 //
 // Files written with -store land at their content address
 // (store.ForTrace), so any engine or smsd daemon over the same store
@@ -83,11 +84,11 @@ func usage(stderr io.Writer) {
 	fmt.Fprintln(stderr, `smstrace — trace-file toolchain (format v2: blocked, columnar, seekable)
 
 usage:
-  smstrace gen     -workload NAME (-o FILE | -store DIR) [-cpus N] [-seed S] [-length L] [-format v1|v2] [-block N]
+  smstrace gen     -workload NAME (-o FILE | -store DIR) [-cpus N] [-seed S] [-length L] [-block N]
   smstrace stat    -i FILE [-full]
   smstrace dump    -i FILE [-n COUNT] [-skip N]
   smstrace slice   -i FILE -o FILE -skip N [-n COUNT] [-block N]
-  smstrace convert -i FILE -o FILE [-to v1|v2] [-block N]`)
+  smstrace convert -i FILE -o FILE [-block N]`)
 }
 
 // parseFlags runs fs over args, folding parse failures into errUsage.
@@ -108,44 +109,12 @@ func newFlagSet(name string, stderr io.Writer) *flag.FlagSet {
 	return fs
 }
 
-// parseFormat maps -format / -to values to trace format versions.
-func parseFormat(s string) (int, error) {
-	switch s {
-	case "v1", "1":
-		return 1, nil
-	case "v2", "2":
-		return trace.Version2, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown format %q (want v1 or v2)", errUsage, s)
-	}
-}
-
-// recordWriter unifies the v1 and v2 writers for the copying commands.
-type recordWriter interface {
-	Write(trace.Record) error
-	Count() uint64
-}
-
-// fileWriter opens path and returns a writer in the requested format
-// plus a finish function that flushes/closes everything.
-func fileWriter(path string, version int, hdr trace.Header) (recordWriter, func() error, error) {
+// fileWriter creates path and returns a v2 writer on it plus a finish
+// function that flushes and closes everything.
+func fileWriter(path string, hdr trace.Header) (*trace.V2Writer, func() error, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, nil, err
-	}
-	if version == 1 {
-		w, err := trace.NewWriter(f)
-		if err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return w, func() error {
-			if err := w.Flush(); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		}, nil
 	}
 	w, err := trace.NewV2Writer(f, hdr)
 	if err != nil {
@@ -162,7 +131,7 @@ func fileWriter(path string, version int, hdr trace.Header) (recordWriter, func(
 }
 
 // copyRecords streams up to n records (n == 0: all) from src to w.
-func copyRecords(src trace.Source, w recordWriter, n uint64) (uint64, error) {
+func copyRecords(src trace.Source, w *trace.V2Writer, n uint64) (uint64, error) {
 	bs := trace.Batched(src)
 	buf := make([]trace.Record, 4096)
 	var copied uint64
@@ -175,10 +144,8 @@ func copyRecords(src trace.Source, w recordWriter, n uint64) (uint64, error) {
 		if k == 0 {
 			break
 		}
-		for i := 0; i < k; i++ {
-			if err := w.Write(buf[i]); err != nil {
-				return copied, err
-			}
+		if err := w.WriteBatch(buf[:k]); err != nil {
+			return copied, err
 		}
 		copied += uint64(k)
 	}
@@ -193,21 +160,13 @@ func cmdGen(args []string, stdout, stderr io.Writer) error {
 	cpus := fs.Int("cpus", 4, "CPUs")
 	seed := fs.Int64("seed", 1, "seed")
 	length := fs.Uint64("length", 1_000_000, "accesses")
-	format := fs.String("format", "v2", "output format (v1 or v2; -store requires v2)")
 	block := fs.Int("block", 0, "records per v2 block (0 = default)")
 	traceOut := fs.String("trace-out", "", "write capture-phase spans as Chrome trace-event JSON")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	version, err := parseFormat(*format)
-	if err != nil {
-		return err
-	}
 	if (*out == "") == (*storeDir == "") {
 		return fmt.Errorf("%w: exactly one of -o or -store is required", errUsage)
-	}
-	if *storeDir != "" && version != trace.Version2 {
-		return fmt.Errorf("%w: -store captures are always v2", errUsage)
 	}
 	w, err := workload.ByName(*name)
 	if err != nil {
@@ -273,7 +232,7 @@ func cmdGen(args []string, stdout, stderr io.Writer) error {
 		return writeSpans()
 	}
 
-	tw, finish, err := fileWriter(*out, version, hdr)
+	tw, finish, err := fileWriter(*out, hdr)
 	if err != nil {
 		return err
 	}
@@ -291,7 +250,7 @@ func cmdGen(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	sp.End()
-	fmt.Fprintf(stdout, "wrote %d records to %s (%s)\n", tw.Count(), *out, *format)
+	fmt.Fprintf(stdout, "wrote %d records to %s (v2)\n", tw.Count(), *out)
 	return writeSpans()
 }
 
@@ -451,7 +410,7 @@ func cmdSlice(args []string, stdout, stderr io.Writer) error {
 	// (e.g. in the store's content-addressed tier).
 	hdr.WorkloadHash = ""
 	hdr.BlockRecords = *block
-	tw, finish, err := fileWriter(*out, trace.Version2, hdr)
+	tw, finish, err := fileWriter(*out, hdr)
 	if err != nil {
 		return err
 	}
@@ -474,14 +433,9 @@ func cmdSlice(args []string, stdout, stderr io.Writer) error {
 func cmdConvert(args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("convert", stderr)
 	in := fs.String("i", "", "input file (v1 or v2)")
-	out := fs.String("o", "", "output file")
-	to := fs.String("to", "v2", "output format (v1 or v2)")
+	out := fs.String("o", "", "output file (always v2)")
 	block := fs.Int("block", 0, "records per v2 block (0 = default)")
 	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	version, err := parseFormat(*to)
-	if err != nil {
 		return err
 	}
 	if *in == "" || *out == "" {
@@ -498,7 +452,7 @@ func cmdConvert(args []string, stdout, stderr io.Writer) error {
 	defer closer.Close()
 	hdr := headerFromInfo(info)
 	hdr.BlockRecords = *block
-	tw, finish, err := fileWriter(*out, version, hdr)
+	tw, finish, err := fileWriter(*out, hdr)
 	if err != nil {
 		return err
 	}
@@ -513,8 +467,8 @@ func cmdConvert(args []string, stdout, stderr io.Writer) error {
 	if err := finish(); err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "converted %d records: %s (v%d) -> %s (%s)\n",
-		tw.Count(), *in, info.Version, *out, *to)
+	fmt.Fprintf(stdout, "converted %d records: %s (v%d) -> %s (v2)\n",
+		tw.Count(), *in, info.Version, *out)
 	return nil
 }
 

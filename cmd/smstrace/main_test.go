@@ -87,13 +87,12 @@ func TestGenStatDumpSliceConvertRoundTrip(t *testing.T) {
 		t.Fatalf("slice lost the source workload: %+v", sf.Info())
 	}
 
-	// convert v2 -> v1 -> v2 preserves the stream exactly.
+	// convert v1 -> v2 preserves the stream exactly. The CLI writes
+	// only v2; the legacy input comes from the library's v1 writer.
 	v1Path := filepath.Join(dir, "t1.smst")
 	v2Path := filepath.Join(dir, "t2.smst")
-	if code, _, stderr = runCLI(t, "convert", "-i", path, "-o", v1Path, "-to", "v1"); code != 0 {
-		t.Fatalf("convert to v1 exit = %d, stderr:\n%s", code, stderr)
-	}
-	if code, _, stderr = runCLI(t, "convert", "-i", v1Path, "-o", v2Path, "-to", "v2"); code != 0 {
+	writeV1(t, v1Path, recs)
+	if code, _, stderr = runCLI(t, "convert", "-i", v1Path, "-o", v2Path); code != 0 {
 		t.Fatalf("convert to v2 exit = %d, stderr:\n%s", code, stderr)
 	}
 	rf, err := trace.OpenFile(v2Path)
@@ -112,15 +111,30 @@ func TestGenStatDumpSliceConvertRoundTrip(t *testing.T) {
 	}
 }
 
-func TestGenV1StillWritable(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.smst")
-	code, _, stderr := runCLI(t, "gen", "-workload", "sparse", "-o", path, "-length", "500", "-format", "v1")
-	if code != 0 {
-		t.Fatalf("gen -format v1 exit = %d, stderr:\n%s", code, stderr)
+// writeV1 writes recs as a legacy v1 trace file.
+func writeV1(t *testing.T, path string, recs []trace.Record) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	info, err := trace.Stat(path)
-	if err != nil || info.Version != 1 {
-		t.Fatalf("v1 gen produced %+v (%v)", info, err)
+	w, err := trace.NewWriter(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := trace.Stat(path); err != nil || info.Version != 1 {
+		t.Fatalf("v1 writer produced %+v (%v)", info, err)
 	}
 }
 
@@ -170,15 +184,12 @@ func TestExitCodes(t *testing.T) {
 		{"gen bad flag", []string{"gen", "-definitely-not-a-flag"}, 2},
 		{"gen no output", []string{"gen", "-workload", "sparse"}, 2},
 		{"gen both outputs", []string{"gen", "-workload", "sparse", "-o", "x", "-store", dir}, 2},
-		{"gen store v1", []string{"gen", "-workload", "sparse", "-store", dir, "-format", "v1"}, 2},
-		{"gen bad format", []string{"gen", "-workload", "sparse", "-o", "x", "-format", "v9"}, 2},
 		{"gen unknown workload", []string{"gen", "-workload", "nope", "-o", filepath.Join(dir, "x")}, 1},
 		{"stat missing file", []string{"stat", "-i", filepath.Join(dir, "missing")}, 1},
 		{"stat garbage file", []string{"stat", "-i", bad}, 1},
 		{"dump garbage file", []string{"dump", "-i", bad}, 1},
 		{"slice missing io", []string{"slice", "-i", good}, 2},
 		{"convert missing io", []string{"convert", "-o", "x"}, 2},
-		{"convert bad target", []string{"convert", "-i", good, "-o", "x", "-to", "v3"}, 2},
 	}
 	for _, tc := range cases {
 		if code, _, stderr := runCLI(t, tc.args...); code != tc.code {

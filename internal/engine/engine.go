@@ -50,10 +50,6 @@ type Config struct {
 	// each. Results are bit-identical either way — lanes are pure
 	// execution tuning and never enter the run's store identity.
 	RunParallel int
-	// DecodeAhead decodes each run's trace source up to this many
-	// batches ahead of its simulator on a dedicated goroutine (0 = off,
-	// decode stays inline; sim.Exec.DecodeAhead).
-	DecodeAhead int
 	// Store optionally persists results across processes. Completed runs
 	// are written through; cancelled or failed runs never touch it.
 	Store *store.Store
@@ -102,8 +98,6 @@ type Engine struct {
 	// Pipeline telemetry harvested from each run's sim.PipelineStats
 	// (see localScheduler.Schedule); laneOccupancy is the last completed
 	// run's lane balance in integer percent.
-	pipeDecodeStalls    atomic.Uint64
-	pipeSimStalls       atomic.Uint64
 	pipeConflictReplays atomic.Uint64
 	laneOccupancy       atomic.Uint64
 }
@@ -200,14 +194,6 @@ func (e *Engine) TraceTierMisses() uint64 { return e.tierMisses.Load() }
 // mid-run.
 func (e *Engine) CancelledRuns() uint64 { return e.cancelled.Load() }
 
-// PipelineDecodeStalls returns how often run pipelines stalled with the
-// decode stage waiting on the simulator (simulation-bound).
-func (e *Engine) PipelineDecodeStalls() uint64 { return e.pipeDecodeStalls.Load() }
-
-// PipelineSimStalls returns how often run pipelines stalled with the
-// simulator waiting on the decode stage (decode-bound).
-func (e *Engine) PipelineSimStalls() uint64 { return e.pipeSimStalls.Load() }
-
 // PipelineConflictReplays returns how many runs asked for lanes but were
 // replayed serially because their configuration's per-record effects
 // cross lanes (attached prefetchers, instruction windows).
@@ -221,8 +207,6 @@ func (e *Engine) PipelineLaneOccupancy() uint64 { return e.laneOccupancy.Load() 
 // harvestPipeline folds one finished run's pipeline telemetry into the
 // engine counters.
 func (e *Engine) harvestPipeline(ps sim.PipelineStats) {
-	e.pipeDecodeStalls.Add(ps.DecodeStalls)
-	e.pipeSimStalls.Add(ps.SimStalls)
 	e.pipeConflictReplays.Add(ps.ConflictReplays)
 	if ps.Lanes > 1 {
 		e.laneOccupancy.Store(uint64(ps.Occupancy() + 0.5))

@@ -55,9 +55,6 @@ type Options struct {
 	// engine divides Parallel by it so the two levels share one core
 	// budget. See sim.Exec.
 	RunParallel int
-	// DecodeAhead decodes each run's trace this many batches ahead of
-	// the simulator on a pipeline goroutine (0 = inline decode).
-	DecodeAhead int
 	// Sampling, when enabled, runs every standard plan cell in
 	// SMARTS-style sampled mode (engine.Sampled): detailed measurement
 	// windows with confidence intervals instead of every-record
@@ -141,7 +138,6 @@ func (o Options) engineConfig(st *store.Store) engine.Config {
 		Warmup:      o.Length / 2,
 		Parallel:    o.Parallel,
 		RunParallel: o.RunParallel,
-		DecodeAhead: o.DecodeAhead,
 		Store:       st,
 	}
 }

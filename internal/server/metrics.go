@@ -77,9 +77,6 @@ func newMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 	r.CounterFunc("smsd_engine_trace_generations_total", "Workload generator executions.", eng.TraceGenerations)
 	r.CounterFunc("smsd_trace_tier_hits_total", "Runs replayed from an mmap'd trace artifact.", eng.TraceTierHits)
 	r.CounterFunc("smsd_trace_tier_misses_total", "Disk trace-tier probes that found no artifact.", eng.TraceTierMisses)
-	pipeStalls := r.CounterVec("smsd_sim_pipeline_stalls_total", "Run pipeline stalls: stage=decode waited on the simulator (simulation-bound); stage=sim waited on decode (decode-bound).", "stage")
-	pipeStalls.Func(eng.PipelineDecodeStalls, "decode")
-	pipeStalls.Func(eng.PipelineSimStalls, "sim")
 	r.CounterFunc("smsd_sim_pipeline_conflict_replays_total", "Runs that asked for parallel lanes but replayed serially because the configuration's effects cross lanes.", eng.PipelineConflictReplays)
 	r.GaugeFunc("smsd_sim_pipeline_lane_occupancy", "Last lane-parallel run's lane balance in percent (100 = perfectly even).", func() float64 { return float64(eng.PipelineLaneOccupancy()) })
 

@@ -5,21 +5,15 @@ import (
 	"math/bits"
 	"sync"
 
-	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
-// Exec tunes how a run executes — pipelined decode and intra-run
-// parallelism. It is pure mechanism: an Exec never changes a single
-// output byte, never enters Config, and therefore never perturbs the
-// canonical run identity the result store hashes. Two runs differing
-// only in Exec produce bit-identical Results under the same store key.
+// Exec tunes how a run executes — intra-run parallelism. It is pure
+// mechanism: an Exec never changes a single output byte, never enters
+// Config, and therefore never perturbs the canonical run identity the
+// result store hashes. Two runs differing only in Exec produce
+// bit-identical Results under the same store key.
 type Exec struct {
-	// DecodeAhead, when >= 2, decodes the trace source up to this many
-	// batches ahead of the simulator on a dedicated goroutine
-	// (trace.Prefetcher). 1 is rounded up to 2 (double buffering);
-	// 0 keeps decode inline with simulation.
-	DecodeAhead int
 	// Lanes, when >= 2, shards the run across that many parallel
 	// simulation lanes keyed by spatial region (rounded down to a power
 	// of two and clamped to the geometry's safe maximum). Configurations
@@ -31,33 +25,17 @@ type Exec struct {
 	Lanes int
 }
 
-// active reports whether the Exec asks for anything beyond the plain
-// serial path.
-func (x Exec) active() bool { return x.DecodeAhead > 0 || x.Lanes > 1 }
-
 // SetExec installs execution tuning for subsequent RunContext calls. It
 // must be set before the run starts. Sampled runs (Config.Sampling)
-// ignore Exec entirely: the sampling driver seeks over the source, which
-// a decode pipeline cannot serve, and its windows are globally ordered.
+// ignore Exec entirely: their windows are globally ordered.
 func (r *Runner) SetExec(x Exec) { r.exec = x }
 
-// Exec returns the installed execution tuning.
-func (r *Runner) Exec() Exec { return r.exec }
-
 // PipelineStats describes how the last RunContext actually executed:
-// the lane count it settled on, pipeline stall counts, and per-lane
-// record totals. All zero for plain serial runs.
+// the lane count it settled on, conflict replays, and per-lane record
+// totals. Every RunContext call resets it.
 type PipelineStats struct {
 	// Lanes is the effective lane count after clamping (1 = serial).
 	Lanes int
-	// DecodeStalls counts times the decode stage waited on the
-	// simulator (free buffers exhausted or the hand-off ring full) plus
-	// times the fan-out waited on a busy lane: the pipeline was
-	// simulation-bound.
-	DecodeStalls uint64
-	// SimStalls counts times the simulator (or the lane fan-out) waited
-	// on the decode stage: the pipeline was decode-bound.
-	SimStalls uint64
 	// ConflictReplays counts runs that asked for lanes but were replayed
 	// serially because the configuration's per-record effects cross
 	// lanes (prefetcher training state, instruction windows). Detection
@@ -112,7 +90,7 @@ func (r *Runner) PipelineStats() PipelineStats { return r.pstats }
 // What breaks it: any attached prefetcher (per-CPU training tables are
 // indexed by PC, shared across all regions — every record conflicts) and
 // the timing model's instruction windows (globally ordered). Sampled
-// mode never reaches here (RunContext routes it first).
+// mode never reaches here (laneCount routes it to one lane first).
 func (r *Runner) shardable() bool {
 	return r.pf == nil && !r.hasWindows
 }
@@ -150,10 +128,10 @@ func (r *Runner) maxLanes() int {
 
 // laneCount resolves the effective lane count for this run, recording a
 // conflict replay when lanes were requested but the configuration is not
-// shardable.
+// shardable. Sampled runs always take one lane.
 func (r *Runner) laneCount() int {
 	want := r.exec.Lanes
-	if want <= 1 {
+	if want <= 1 || r.sampled != nil {
 		return 1
 	}
 	if !r.shardable() {
@@ -190,12 +168,14 @@ type laneBatch struct {
 	nWarm int
 }
 
-// runParallel executes the run across `lanes` region-sharded lanes.
+// runParallel is the lane fan-out consumer: it executes the run across
+// `lanes` region-sharded lanes and returns the lane runners for
+// mergeLanes once the drain has passed its end check.
 //
 // Ownership: the fan-out owns one fill buffer per lane; filled batches
 // travel to the lane through a bounded ring and come back through a free
 // ring once fully simulated, so no buffer is ever written on one side
-// while read on the other (the same discipline as trace.Prefetcher).
+// while read on the other.
 //
 // Determinism: every lane receives a deterministic subsequence of the
 // trace in global order, each lane runner is seeded identically to a
@@ -203,8 +183,7 @@ type laneBatch struct {
 // so the output is a pure function of (config, trace), independent of
 // goroutine scheduling. See shardable for why the per-lane simulations
 // compose exactly.
-func (r *Runner) runParallel(ctx context.Context, src trace.Source, ph *obs.PhaseTracker, lanes int) (*Result, error) {
-	ph.Enter("fan-out")
+func (r *Runner) runParallel(ctx context.Context, d *drain, lanes int) ([]*Runner, error) {
 	r.pstats.Lanes = lanes
 	r.pstats.LaneRecords = make([]uint64, lanes)
 
@@ -252,12 +231,6 @@ func (r *Runner) runParallel(ctx context.Context, src trace.Source, ph *obs.Phas
 			}
 		}(l)
 	}
-	shutdown := func() {
-		for l := range in {
-			close(in[l])
-		}
-		wg.Wait()
-	}
 
 	regionBits := uint(bits.TrailingZeros64(uint64(r.cfg.Geometry.RegionSize())))
 	mask := uint64(lanes - 1)
@@ -269,51 +242,19 @@ func (r *Runner) runParallel(ctx context.Context, src trace.Source, ph *obs.Phas
 		cur[l] = <-free[l]
 	}
 	flush := func(l int) {
-		b := laneBatch{recs: cur[l], nWarm: curWarm[l]}
-		select {
-		case in[l] <- b:
-		default:
-			r.pstats.DecodeStalls++
-			in[l] <- b
-		}
+		in[l] <- laneBatch{recs: cur[l], nWarm: curWarm[l]}
 		curWarm[l] = 0
-		select {
-		case cur[l] = <-free[l]:
-		default:
-			r.pstats.DecodeStalls++
-			cur[l] = <-free[l]
-		}
+		cur[l] = <-free[l]
 	}
 
-	every := r.progressEvery
-	if every == 0 {
-		every = DefaultProgressInterval
-	}
-	size := uint64(DefaultBatchRecords)
-	if size > every {
-		size = every
-	}
-	views, isView := src.(trace.ViewSource)
-	var bs trace.BatchSource
-	if !isView {
-		if uint64(len(r.batch)) != size {
-			r.batch = make([]trace.Record, size)
-		}
-		bs = trace.Batched(src)
-	}
-	next := r.counted + every
-	for {
-		var batch []trace.Record
-		if isView {
-			batch = views.NextView(int(size))
-		} else {
-			batch = r.batch[:bs.NextBatch(r.batch)]
-		}
+	var err error
+	for err == nil {
+		batch := d.next(d.size)
 		if len(batch) == 0 {
 			break
 		}
 		if r.counted >= warmup {
-			// Whole view is past the warm-up prefix (the steady state):
+			// Whole batch is past the warm-up prefix (the steady state):
 			// the boundary comparison leaves the per-record loop.
 			for i := range batch {
 				rec := batch[i]
@@ -338,44 +279,33 @@ func (r *Runner) runParallel(ctx context.Context, src trace.Source, ph *obs.Phas
 				}
 			}
 		}
-		if r.counted >= next {
-			next = r.counted + every
-			if r.onProgress != nil {
-				r.onProgress(r.counted)
-			}
-			if err := ctx.Err(); err != nil {
-				shutdown()
-				return nil, err
+		err = d.pace(ctx)
+	}
+	if err == nil {
+		for l := range cur {
+			if len(cur[l]) > 0 {
+				flush(l)
 			}
 		}
 	}
-	for l := range cur {
-		if len(cur[l]) > 0 {
-			flush(l)
-		}
+	for l := range in {
+		close(in[l])
 	}
-	shutdown()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if e, ok := src.(interface{ Err() error }); ok {
-		if err := e.Err(); err != nil {
-			return nil, errSourceFailed(err)
-		}
-	}
+	wg.Wait()
+	return runners, err
+}
 
-	// Merge in fixed lane order. Lane finish() flushes open generations;
-	// every accumulated field is a commutative sum, so lane order only
-	// needs to be deterministic, which 0..lanes-1 is.
+// mergeLanes folds the lane runners into r in fixed lane order. Lane
+// finish() flushes open generations; every accumulated field is a
+// commutative sum, so lane order only needs to be deterministic, which
+// 0..lanes-1 is.
+func (r *Runner) mergeLanes(runners []*Runner) error {
 	for l, rn := range runners {
 		rn.finish()
 		r.pstats.LaneRecords[l] = rn.counted
 		if err := r.res.accumulate(&rn.res); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if r.onProgress != nil {
-		r.onProgress(r.counted)
-	}
-	return r.Result(), nil
+	return nil
 }

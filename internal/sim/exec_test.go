@@ -23,12 +23,12 @@ func execTrace(t *testing.T, length uint64) []trace.Record {
 	return trace.Collect(w.Make(workload.Config{CPUs: 4, Seed: 11, Length: length}), 0)
 }
 
-// TestPipelinedRunMatchesSerial is the tentpole's bit-identity gate: for
+// TestPipelinedRunMatchesSerial is the lanes' bit-identity gate: for
 // every registered prefetcher, Result JSON must be byte-identical across
-// the plain serial path, serial + pipelined decode, and the lane-
-// parallel path (which conflict-replays serially for prefetcher configs
-// and genuinely shards for the baseline). Run with -race this also
-// exercises the hand-off rings under the race detector.
+// the plain serial path and the lane-parallel path (which conflict-
+// replays serially for prefetcher configs and genuinely shards for the
+// baseline). Run with -race this also exercises the hand-off rings under
+// the race detector.
 func TestPipelinedRunMatchesSerial(t *testing.T) {
 	recs := execTrace(t, 50_000)
 	for _, pf := range []string{"none", "sms", "ls", "ghb", "stride", "nextline"} {
@@ -46,11 +46,9 @@ func TestPipelinedRunMatchesSerial(t *testing.T) {
 			wantJSON := resultJSON(t, want)
 
 			for _, x := range []sim.Exec{
-				{DecodeAhead: 2},
-				{DecodeAhead: 4},
 				{Lanes: 2},
 				{Lanes: 4},
-				{Lanes: 8, DecodeAhead: 3},
+				{Lanes: 8},
 			} {
 				r := sim.MustNewRunner(cfg)
 				r.SetExec(x)
@@ -103,7 +101,7 @@ func TestParallelMatchesSerialFromGeneratorSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	par := sim.MustNewRunner(cfg)
-	par.SetExec(sim.Exec{Lanes: 4, DecodeAhead: 2})
+	par.SetExec(sim.Exec{Lanes: 4})
 	got, err := par.RunContext(context.Background(), w.Make(wcfg))
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +141,7 @@ func TestLaneClampRespectsGeometry(t *testing.T) {
 func TestExecDoesNotChangeCanonicalIdentity(t *testing.T) {
 	cfg := sim.Config{PrefetcherName: "sms", WarmupAccesses: 100}
 	r := sim.MustNewRunner(cfg)
-	r.SetExec(sim.Exec{Lanes: 8, DecodeAhead: 16})
+	r.SetExec(sim.Exec{Lanes: 8})
 	if r.Config().Canonical() != cfg.Canonical() {
 		t.Fatal("SetExec perturbed the runner's canonical Config")
 	}
@@ -151,12 +149,12 @@ func TestExecDoesNotChangeCanonicalIdentity(t *testing.T) {
 
 // TestParallelCancellation covers mid-run cancellation of the lane path:
 // the run must return the context error, never a partial Result, and all
-// lane goroutines and the decode goroutine must wind down (the -race
-// build catches leaks touching freed batches).
+// lane goroutines must wind down (the -race build catches leaks touching
+// freed batches).
 func TestParallelCancellation(t *testing.T) {
 	recs := execTrace(t, 120_000)
 	r := sim.MustNewRunner(sim.Config{WarmupAccesses: 10_000})
-	r.SetExec(sim.Exec{Lanes: 4, DecodeAhead: 2})
+	r.SetExec(sim.Exec{Lanes: 4})
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
 	r.OnProgress(4096, func(records uint64) {
@@ -190,25 +188,54 @@ func (s *erringSource) Next() (trace.Record, bool) {
 
 func (s *erringSource) Err() error { return s.fail }
 
-// TestParallelSurfacesLatchedDecodeError pins the PR 5 contract through
-// the whole pipeline: a source that fails mid-stream must fail the run —
-// through the decode-ahead stage, through the lane fan-out, and through
-// both composed — so a corrupt trace never yields a persistable Result.
+// erringSlice is a seekable in-memory source with a latched Err: the
+// sampled consumer skips its cold gaps by seeking, and must still see the
+// error once the slice runs out.
+type erringSlice struct {
+	*trace.SliceSource
+	fail error
+}
+
+func (s erringSlice) Err() error { return s.fail }
+
+// TestParallelSurfacesLatchedDecodeError pins the latched-error contract
+// for every consumer of RunContext's drive loop — serial, lane fan-out,
+// and sampled over both a seekable and a streamed source: a source that
+// fails mid-stream must fail the run, so a corrupt trace never yields a
+// persistable Result.
 func TestParallelSurfacesLatchedDecodeError(t *testing.T) {
-	for _, x := range []sim.Exec{
-		{DecodeAhead: 2},
-		{Lanes: 4},
-		{Lanes: 4, DecodeAhead: 2},
+	const n = 10_000
+	recs := trace.Collect(&erringSource{n: n}, 0)
+	sampling := sim.SamplingConfig{WindowRecords: 256, IntervalRecords: 2048}
+	for _, tc := range []struct {
+		name string
+		cfg  sim.Config
+		exec sim.Exec
+		seek bool // a seekable in-memory source instead of a stream
+	}{
+		{"serial", sim.Config{}, sim.Exec{}, false},
+		{"lanes", sim.Config{}, sim.Exec{Lanes: 4}, false},
+		{"sampled-seek", sim.Config{Sampling: sampling}, sim.Exec{}, true},
+		{"sampled-stream", sim.Config{Sampling: sampling}, sim.Exec{}, false},
 	} {
-		src := &erringSource{n: 10_000, fail: trace.ErrBadFormat}
-		r := sim.MustNewRunner(sim.Config{WarmupAccesses: 100})
-		r.SetExec(x)
-		res, err := r.RunContext(context.Background(), src)
-		if err == nil || !strings.Contains(err.Error(), "trace source failed mid-stream") {
-			t.Fatalf("exec %+v: err = %v, want latched decode error", x, err)
-		}
-		if res != nil {
-			t.Fatalf("exec %+v: erring source produced a Result", x)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			var src trace.Source = &erringSource{n: n, fail: trace.ErrBadFormat}
+			if tc.seek {
+				src = erringSlice{trace.NewSliceSource(recs), trace.ErrBadFormat}
+			}
+			tc.cfg.WarmupAccesses = 100
+			r := sim.MustNewRunner(tc.cfg)
+			r.SetExec(tc.exec)
+			res, err := r.RunContext(context.Background(), src)
+			if err == nil || !strings.Contains(err.Error(), "trace source failed mid-stream") {
+				t.Fatalf("err = %v, want latched decode error", err)
+			}
+			if res != nil {
+				t.Fatal("erring source produced a Result")
+			}
+			if got := r.PipelineStats().Lanes; got != max(tc.exec.Lanes, 1) {
+				t.Fatalf("ran on %d lanes, want %d", got, max(tc.exec.Lanes, 1))
+			}
+		})
 	}
 }

@@ -318,10 +318,10 @@ func (r *Runner) warmStep(rec trace.Record) {
 	r.warming = false
 }
 
-// runSampled is RunContext's sampled-mode driver. Positions are tracked
-// relative to the start of src (pos = counted - base), so the window
-// schedule is per-source and a Runner can be fed several sources in
-// sequence, exactly like exact mode.
+// runSampled is the sampled-mode consumer: the phase switch. Positions
+// are tracked relative to the start of the source (pos = counted -
+// base), so the window schedule is per-source and a Runner can be fed
+// several sources in sequence, exactly like exact mode.
 //
 // The phase layout within each interval of IntervalRecords is
 //
@@ -333,44 +333,15 @@ func (r *Runner) warmStep(rec trace.Record) {
 // Result byte for byte (minus the Sampling block).
 // ph receives gap/warm/window phase transitions (nil-safe): one Enter
 // per batch, so the per-record loops stay untouched.
-func (r *Runner) runSampled(ctx context.Context, src trace.Source, ph *obs.PhaseTracker) (*Result, error) {
+func (r *Runner) runSampled(ctx context.Context, d *drain, ph *obs.PhaseTracker) error {
 	st := r.sampled
 	st.snapValid = false
 	window, interval := st.cfg.WindowRecords, st.cfg.IntervalRecords
 	warmup := st.warmup
-
-	every := r.progressEvery
-	if every == 0 {
-		every = DefaultProgressInterval
-	}
-	size := uint64(DefaultBatchRecords)
-	if size > every {
-		size = every
-	}
-	views, isView := src.(trace.ViewSource)
-	seeker, canSeek := src.(trace.Seeker)
-	var bs trace.BatchSource
-	if !isView {
-		if uint64(len(r.batch)) != size {
-			r.batch = make([]trace.Record, size)
-		}
-		bs = trace.Batched(src)
-	}
-	// fetch returns the next batch, clamped to want records.
-	fetch := func(want uint64) []trace.Record {
-		if want > size {
-			want = size
-		}
-		if isView {
-			return views.NextView(int(want))
-		}
-		return r.batch[:bs.NextBatch(r.batch[:want])]
-	}
+	seeker, canSeek := d.src.(trace.Seeker)
 
 	base := r.counted
-	next := r.counted + every
-	eof := false
-	for !eof {
+	for eof := false; !eof; {
 		pos := r.counted - base
 		k := pos / interval
 		intervalEnd := (k + 1) * interval
@@ -389,12 +360,12 @@ func (r *Runner) runSampled(ctx context.Context, src trace.Source, ph *obs.Phase
 					eof = true
 				}
 				if err := seeker.Seek(target); err != nil {
-					return nil, fmt.Errorf("sim: seeking trace source: %w", err)
+					return fmt.Errorf("sim: seeking trace source: %w", err)
 				}
 				st.skipped += target - pos
 				r.advanceCounted(target - pos)
 			} else {
-				batch := fetch(warmStart - pos)
+				batch := d.next(warmStart - pos)
 				if len(batch) == 0 {
 					eof = true
 					break
@@ -406,7 +377,7 @@ func (r *Runner) runSampled(ctx context.Context, src trace.Source, ph *obs.Phase
 		case pos < windowStart:
 			// Functional warming. warmStep advances r.counted itself.
 			ph.Enter("warm")
-			batch := fetch(windowStart - pos)
+			batch := d.next(windowStart - pos)
 			if len(batch) == 0 {
 				eof = true
 				break
@@ -432,7 +403,7 @@ func (r *Runner) runSampled(ctx context.Context, src trace.Source, ph *obs.Phase
 				st.snapValid = true
 				st.snapEligible = base+windowStart >= r.cfg.WarmupAccesses
 			}
-			batch := fetch(intervalEnd - pos)
+			batch := d.next(intervalEnd - pos)
 			if len(batch) == 0 {
 				eof = true
 				break
@@ -456,30 +427,9 @@ func (r *Runner) runSampled(ctx context.Context, src trace.Source, ph *obs.Phase
 			}
 		}
 
-		if r.counted >= next {
-			next = r.counted + every
-			if r.onProgress != nil {
-				r.onProgress(r.counted)
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+		if err := d.pace(ctx); err != nil {
+			return err
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// Same latched-error convention as exact mode: a decode failure must
-	// not produce a Result over a partial stream.
-	if e, ok := src.(interface{ Err() error }); ok {
-		if err := e.Err(); err != nil {
-			return nil, fmt.Errorf("sim: trace source failed mid-stream: %w", err)
-		}
-	}
-	r.finish()
-	r.res.Sampling = st.summary()
-	if r.onProgress != nil {
-		r.onProgress(r.counted)
-	}
-	return r.Result(), nil
+	return nil
 }

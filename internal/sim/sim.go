@@ -177,16 +177,16 @@ type Runner struct {
 	hasWindows bool
 	hasPf      bool // len(pf) > 0, hoisted out of Step
 
-	// exec is the execution tuning (decode pipelining, lanes); pstats
-	// describes how the last RunContext actually executed. Neither ever
-	// affects the Result — see Exec.
+	// exec is the execution tuning (lanes); pstats describes how the
+	// last RunContext actually executed. Neither ever affects the
+	// Result — see Exec.
 	exec   Exec
 	pstats PipelineStats
 
 	progressEvery uint64
 	onProgress    func(records uint64)
 
-	batch []trace.Record // RunContext's reusable drain buffer
+	batch []trace.Record // reusable copy buffer for non-view sources
 
 	// Per-record result scratch (see coherence.AccessResult): one access
 	// result and one stream result live for the whole run, so the hot
@@ -308,109 +308,68 @@ const DefaultBatchRecords = 4096
 // never returned, so callers cannot mistake it for a completed one (or
 // persist it).
 //
-// The trace is drained in batches through trace.Batched, so sources that
-// batch natively (all workload generators, trace.Reader) feed the
-// simulator with no per-record interface calls.
+// The trace is drained in batches (see drain), so sources that batch
+// natively (all workload generators, trace.Reader) feed the simulator
+// with no per-record interface calls. One of three consumers takes the
+// batches: the serial loop, the lane fan-out (Exec.Lanes), or the
+// sampled phase switch (Config.Sampling).
 func (r *Runner) RunContext(ctx context.Context, src trace.Source) (*Result, error) {
 	// Phase spans flow to any tracer on ctx (nil-safe no-ops otherwise);
 	// they never touch the Result, so sampled and exact outputs stay
 	// bit-identical with or without a tracer attached.
 	ph := obs.TracerFrom(ctx).Phases("sim", obs.TrackFrom(ctx))
 	defer ph.Close()
-	if r.sampled != nil {
-		// Sampled runs ignore Exec: the sampling driver seeks over the
-		// source (a decode pipeline cannot serve seeks) and its windows
-		// are globally ordered (not lane-shardable).
-		return r.runSampled(ctx, src, ph)
+	r.pstats = PipelineStats{Lanes: 1}
+	d := r.newDrain(src)
+
+	var lanes []*Runner
+	var err error
+	switch n := r.laneCount(); {
+	case r.sampled != nil:
+		err = r.runSampled(ctx, &d, ph)
+	case n > 1:
+		ph.Enter("fan-out")
+		lanes, err = r.runParallel(ctx, &d, n)
+	default:
+		ph.Enter("window")
+		err = r.runSerial(ctx, &d)
 	}
-	if r.exec.active() {
-		r.pstats = PipelineStats{Lanes: 1}
-		lanes := r.laneCount()
-		if r.exec.DecodeAhead > 0 {
-			// Decode pipelining composes with either consumer below: the
-			// serial drain loop and the lane fan-out both consume the
-			// Prefetcher through its ViewSource fast path and see its
-			// latched Err like any erring source.
-			pf := trace.NewPrefetcher(src, r.exec.DecodeAhead, DefaultBatchRecords)
-			defer func() {
-				pf.Close()
-				d, s := pf.Stats()
-				r.pstats.DecodeStalls += d
-				r.pstats.SimStalls += s
-			}()
-			src = pf
-		}
-		if lanes > 1 {
-			return r.runParallel(ctx, src, ph, lanes)
-		}
+	if err == nil {
+		err = d.end(ctx)
 	}
-	ph.Enter("window")
-	every := r.progressEvery
-	if every == 0 {
-		every = DefaultProgressInterval
-	}
-	size := uint64(DefaultBatchRecords)
-	if size > every {
-		size = every
-	}
-	views, isView := src.(trace.ViewSource)
-	var bs trace.BatchSource
-	if !isView {
-		if uint64(len(r.batch)) != size {
-			r.batch = make([]trace.Record, size)
-		}
-		bs = trace.Batched(src)
-	}
-	next := r.counted + every
-	for {
-		var batch []trace.Record
-		if isView {
-			// In-memory traces (engine trace memo replays) are consumed
-			// in place — no per-batch copy.
-			batch = views.NextView(int(size))
-		} else {
-			batch = r.batch[:bs.NextBatch(r.batch)]
-		}
-		if len(batch) == 0 {
-			break
-		}
-		for i := range batch {
-			r.Step(batch[i])
-		}
-		if r.counted >= next {
-			next = r.counted + every
-			if r.onProgress != nil {
-				r.onProgress(r.counted)
-			}
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	// Erring sources (trace.Reader, the v2 readers) report exhaustion on
-	// a decode failure exactly like a clean EOF; surfacing the latched
-	// error here keeps a truncated or corrupt trace — e.g. a damaged
-	// disk-tier artifact — from quietly producing (and persisting) a
-	// Result over a partial record stream.
-	if e, ok := src.(interface{ Err() error }); ok {
-		if err := e.Err(); err != nil {
-			return nil, errSourceFailed(err)
+	if lanes != nil {
+		if err := r.mergeLanes(lanes); err != nil {
+			return nil, err
 		}
+	} else {
+		r.finish()
 	}
-	r.finish()
+	if r.sampled != nil {
+		r.res.Sampling = r.sampled.summary()
+	}
 	if r.onProgress != nil {
 		r.onProgress(r.counted)
 	}
 	return r.Result(), nil
 }
 
-// errSourceFailed wraps a trace source's latched decode error, shared by
-// the serial drain loop and the parallel fan-out.
-func errSourceFailed(err error) error {
-	return fmt.Errorf("sim: trace source failed mid-stream: %w", err)
+// runSerial is the plain consumer: every record through Step, in order.
+func (r *Runner) runSerial(ctx context.Context, d *drain) error {
+	for {
+		batch := d.next(d.size)
+		if len(batch) == 0 {
+			return nil
+		}
+		for i := range batch {
+			r.Step(batch[i])
+		}
+		if err := d.pace(ctx); err != nil {
+			return err
+		}
+	}
 }
 
 // Result returns a detached copy of the accumulated statistics (for

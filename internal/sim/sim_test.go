@@ -264,69 +264,126 @@ func TestRunReturnsDetachedResult(t *testing.T) {
 	}
 }
 
+// driveModes are RunContext's three consumers of its one drive loop:
+// serial, the lane fan-out (on the baseline, the only shardable
+// configuration) and sampled over a seekable and a streamed source. src
+// wraps a record stream in the mode's source shape.
+var driveModes = []struct {
+	name  string
+	cfg   Config
+	exec  Exec
+	lanes int // effective lanes the run must settle on
+	src   func(trace.Source) trace.Source
+}{
+	{"serial", Config{PrefetcherName: "sms"}, Exec{}, 1, func(s trace.Source) trace.Source { return s }},
+	{"lanes", Config{}, Exec{Lanes: 4}, 4, func(s trace.Source) trace.Source { return s }},
+	{"sampled-seek", Config{PrefetcherName: "sms", Sampling: SamplingConfig{WindowRecords: 512, IntervalRecords: 4096}}, Exec{}, 1,
+		func(s trace.Source) trace.Source { return trace.NewSliceSource(trace.Collect(s, 200_000)) }},
+	{"sampled-stream", Config{PrefetcherName: "sms", Sampling: SamplingConfig{WindowRecords: 512, IntervalRecords: 4096}}, Exec{}, 1,
+		func(s trace.Source) trace.Source { return nextOnly{s} }},
+}
+
+// nextOnly hides every batching and seeking capability of a source.
+type nextOnly struct{ src trace.Source }
+
+func (s nextOnly) Next() (trace.Record, bool) { return s.src.Next() }
+
 func TestRunContextCancelsPromptly(t *testing.T) {
-	// An unbounded synthetic trace: only cancellation can end this run.
-	var seq uint64
-	endless := trace.Func(func() (trace.Record, bool) {
-		seq++
-		return trace.Record{Seq: seq, PC: 0x400, Addr: mem.Addr(seq*64) & 0xFFFFFF}, true
-	})
-	r := MustNewRunner(Config{Coherence: tinyCoherence(1), PrefetcherName: "sms"})
+	for _, m := range driveModes {
+		t.Run(m.name, func(t *testing.T) {
+			// An unbounded synthetic trace: only cancellation can end
+			// this run (the seekable mode holds a long prefix of it).
+			var seq uint64
+			endless := trace.Func(func() (trace.Record, bool) {
+				seq++
+				return trace.Record{Seq: seq, PC: 0x400, Addr: mem.Addr(seq*64) & 0xFFFFFF}, true
+			})
+			src := m.src(endless)
+			r := MustNewRunner(m.cfg)
+			r.SetExec(m.exec)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	var calls atomic.Uint64
-	r.OnProgress(1024, func(records uint64) {
-		if calls.Add(1) == 3 {
-			cancel()
-		}
-	})
+			ctx, cancel := context.WithCancel(context.Background())
+			var calls atomic.Uint64
+			var last uint64
+			r.OnProgress(1024, func(records uint64) {
+				last = records
+				if calls.Add(1) == 3 {
+					cancel()
+				}
+			})
 
-	done := make(chan error, 1)
-	go func() {
-		res, err := r.RunContext(ctx, endless)
-		if res != nil {
-			t.Error("cancelled run returned a partial Result")
-		}
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("cancelled run did not return")
-	}
-	// Cancellation is checked once per progress interval: the run must
-	// have stopped within one interval of the cancelling callback.
-	if got := calls.Load(); got > 4 {
-		t.Errorf("run kept going for %d progress intervals after cancel", got-3)
+			done := make(chan error, 1)
+			go func() {
+				res, err := r.RunContext(ctx, src)
+				if res != nil {
+					t.Error("cancelled run returned a partial Result")
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("cancelled run did not return")
+			}
+			// Cancellation is checked once per progress interval: the
+			// run must have stopped within one interval of the
+			// cancelling callback.
+			if got := calls.Load(); got > 4 {
+				t.Errorf("run kept going for %d progress intervals after cancel", got-3)
+			}
+			if got := r.PipelineStats().Lanes; got != m.lanes {
+				t.Errorf("ran on %d lanes, want %d", got, m.lanes)
+			}
+			// The last callback reports exactly the records the run
+			// consumed (skipped ones included).
+			if last != r.counted {
+				t.Errorf("last progress %d, run consumed %d records", last, r.counted)
+			}
+		})
 	}
 }
 
+// In every drive mode, RunContext completes exactly like Run, and its
+// final progress callback reports every record the run consumed.
 func TestRunContextCompletesLikeRun(t *testing.T) {
 	w, _ := workload.ByName("sparse")
-	mk := func() *Runner { return MustNewRunner(Config{Coherence: tinyCoherence(1)}) }
-	n := uint64(30_000)
-	wcfg := workload.Config{CPUs: 1, Seed: 9, Length: n}
-
-	viaRun := mk().Run(w.Make(wcfg))
-	rc := mk()
-	var last uint64
-	rc.OnProgress(0, func(records uint64) {
-		if records < last {
-			t.Errorf("progress went backwards: %d after %d", records, last)
-		}
-		last = records
-	})
-	viaCtx, err := rc.RunContext(context.Background(), w.Make(wcfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaCtx.Accesses != viaRun.Accesses || viaCtx.L1ReadMisses != viaRun.L1ReadMisses {
-		t.Fatalf("RunContext diverged from Run: %+v vs %+v", viaCtx, viaRun)
-	}
-	if last != n {
-		t.Errorf("final progress callback saw %d records, want %d", last, n)
+	const n = 30_001 // deliberately not batch- or interval-aligned
+	wcfg := workload.Config{CPUs: 4, Seed: 9, Length: n}
+	for _, m := range driveModes {
+		t.Run(m.name, func(t *testing.T) {
+			mk := func() *Runner {
+				r := MustNewRunner(m.cfg)
+				r.SetExec(m.exec)
+				return r
+			}
+			viaRun := mk().Run(m.src(w.Make(wcfg)))
+			rc := mk()
+			var last uint64
+			rc.OnProgress(0, func(records uint64) {
+				if records < last {
+					t.Errorf("progress went backwards: %d after %d", records, last)
+				}
+				last = records
+			})
+			viaCtx, err := rc.RunContext(context.Background(), m.src(w.Make(wcfg)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if viaCtx.Accesses != viaRun.Accesses || viaCtx.L1ReadMisses != viaRun.L1ReadMisses {
+				t.Fatalf("RunContext diverged from Run: %+v vs %+v", viaCtx, viaRun)
+			}
+			if last != n {
+				t.Errorf("final progress callback saw %d records, want %d", last, n)
+			}
+			if viaCtx.Sampling != nil && viaCtx.Sampling.TotalRecords != n {
+				t.Errorf("sampled run accounted %d records, want %d", viaCtx.Sampling.TotalRecords, n)
+			}
+			if got := rc.PipelineStats().Lanes; got != m.lanes {
+				t.Errorf("ran on %d lanes, want %d", got, m.lanes)
+			}
+		})
 	}
 }

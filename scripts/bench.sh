@@ -9,8 +9,9 @@
 #                                       # 0.01 allocs/record, or the
 #                                       # median-of-5 ns/record regressed
 #                                       # >BENCH_TOLERANCE % (default 15)
-#                                       # vs the last BENCH_history.jsonl
-#                                       # recording on this machine
+#                                       # vs the latest BENCH_history.jsonl
+#                                       # recording whose env (gomaxprocs,
+#                                       # cpu_model) matches this machine
 #
 # The headline benchmarks cover the full record hot path (trace
 # generation -> coherent hierarchy -> SMS -> accounting), the trace
@@ -32,12 +33,18 @@ cd "$(dirname "$0")/.."
 
 HEADLINE='^(BenchmarkSimulatorThroughput|BenchmarkSampledThroughput|BenchmarkPipelinedThroughput|BenchmarkTraceGeneration|BenchmarkTraceReplay|BenchmarkFig8Training)$'
 # Benchmarks that must not allocate per record in steady state (the
-# serial hot paths). The pipelined legs are gated separately: their
-# lane/prefetch setup reallocates per run and must amortize to
-# <= MAX_PIPELINE_ALLOCS allocations per record.
+# serial hot paths). The pipelined legs (serial, lanes2, lanes8) are
+# gated separately: lane-runner setup reallocates per run and must
+# amortize to <= MAX_PIPELINE_ALLOCS allocations per record.
 ZERO_ALLOC='BenchmarkSimulatorThroughput|BenchmarkSampledThroughput|BenchmarkTraceGeneration|BenchmarkTraceReplay'
 PIPELINED='BenchmarkPipelinedThroughput'
 MAX_PIPELINE_ALLOCS=0.01
+
+# The machine environment every history entry records, and the key the
+# regression gate matches its baseline on.
+gomaxprocs=${GOMAXPROCS:-$(nproc 2>/dev/null || echo 0)}
+cpu_model=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -n 1)
+[ -n "$cpu_model" ] || cpu_model=unknown
 
 run_bench() {
 	go test -run '^$' -bench "$HEADLINE" -benchmem -benchtime=2s -count=5 .
@@ -60,8 +67,8 @@ if [ "${1:-}" = "--check" ]; then
 	'
 	echo "bench allocation check passed: hot-path benchmarks run at 0 B/op, 0 allocs/op"
 
-	# Pipelined legs: lane runners and prefetch buffers reallocate per
-	# RunContext call, so instead of the integer allocs/op column (which
+	# Pipelined legs: lane runners and their hand-off buffers reallocate
+	# per RunContext call, so instead of the integer allocs/op column (which
 	# truncates to 0) the benchmark reports a float allocs/record metric;
 	# gate it at MAX_PIPELINE_ALLOCS to catch per-record allocations
 	# sneaking into the fan-out or lane loops.
@@ -83,9 +90,11 @@ if [ "${1:-}" = "--check" ]; then
 	echo "pipelined allocation check passed: steady state <= ${MAX_PIPELINE_ALLOCS} allocs/record"
 
 	# Regression gate: compare ns/op (= ns/record) per benchmark against
-	# the most recent BENCH_history.jsonl recording. History lines embed
-	# the recorded JSON, so the baseline comes from one sed pass over the
-	# last line. The comparison gets its own time-based run — the
+	# the most recent BENCH_history.jsonl recording made under this
+	# machine's environment (same GOMAXPROCS and CPU model; numbers from
+	# a differently sized box are not comparable). History lines embed
+	# the recorded JSON, so the baseline comes from one sed pass over
+	# that line. The comparison gets its own time-based run — the
 	# fixed-iteration alloc run above measures ~20ms per benchmark,
 	# which is inside CPU frequency-scaling noise and not comparable to
 	# a 2s recording. The gate takes the MEDIAN of 5 runs: best-of-3 let
@@ -100,11 +109,17 @@ if [ "${1:-}" = "--check" ]; then
 		echo "no $HIST baseline on this machine; skipping regression comparison"
 		exit 0
 	fi
+	env_key="\"env\":{\"gomaxprocs\":$gomaxprocs,\"cpu_model\":\"$cpu_model\","
+	base_line=$(grep -F -- "$env_key" "$HIST" | tail -n 1 || true)
+	if [ -z "$base_line" ]; then
+		echo "no $HIST entry for gomaxprocs=$gomaxprocs cpu_model=\"$cpu_model\"; skipping regression comparison"
+		exit 0
+	fi
 	# Prefer the recorded median (same estimator as this gate); fall
 	# back to ns_per_op for history lines predating the median field.
-	baseline=$(tail -n 1 "$HIST" | tr '{' '\n' |
+	baseline=$(printf '%s\n' "$base_line" | tr '{' '\n' |
 		sed -n 's/.*"name": "\([^"]*\)", "ns_per_op": [0-9.]*, "ns_median": \([0-9.]*\).*/\1 \2/p')
-	[ -n "$baseline" ] || baseline=$(tail -n 1 "$HIST" | tr '{' '\n' |
+	[ -n "$baseline" ] || baseline=$(printf '%s\n' "$base_line" | tr '{' '\n' |
 		sed -n 's/.*"name": "\([^"]*\)", "ns_per_op": \([0-9.]*\).*/\1 \2/p')
 	cmp=$(go test -run '^$' -bench "^(${ZERO_ALLOC})\$" -benchtime=1s -count=5 .)
 	echo "$cmp" | awk -v tol="$tol" -v baseline="$baseline" '
@@ -209,9 +224,6 @@ echo "wrote $OUT"
 HIST=BENCH_history.jsonl
 ts=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 sha=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
-gomaxprocs=${GOMAXPROCS:-$(nproc 2>/dev/null || echo 0)}
-cpu_model=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo 2>/dev/null | head -n 1)
-[ -n "$cpu_model" ] || cpu_model=unknown
 loadavg=$(cut -d' ' -f1-3 /proc/loadavg 2>/dev/null || echo unknown)
 printf '{"time":"%s","commit":"%s","out":"%s","env":{"gomaxprocs":%s,"cpu_model":"%s","loadavg":"%s"},"record":%s}\n' \
 	"$ts" "$sha" "$OUT" "$gomaxprocs" "$cpu_model" "$loadavg" "$(tr -d '\n' <"$OUT")" >>"$HIST"
