@@ -5,9 +5,9 @@
 
 GO ?= go
 
-.PHONY: ci nightly fmt vet staticcheck build test test-full test-chaos bench bench-smoke bench-allocs bench-record fuzz-smoke fuzz-nightly smoke smoke-cluster smoke-chaos
+.PHONY: ci nightly fmt vet staticcheck build test test-full test-chaos bench bench-smoke bench-allocs bench-module bench-record fuzz-smoke fuzz-nightly smoke smoke-cluster smoke-chaos
 
-ci: fmt vet staticcheck build test fuzz-smoke bench-smoke bench-allocs smoke smoke-cluster smoke-chaos
+ci: fmt vet staticcheck build test fuzz-smoke bench-smoke bench-allocs bench-module smoke smoke-cluster smoke-chaos
 
 nightly: test-full test-chaos fuzz-nightly
 
@@ -64,6 +64,12 @@ bench-smoke:
 # trace generation) must report 0 B/op and 0 allocs/op at steady state.
 bench-allocs:
 	./scripts/bench.sh --check
+
+# The repository benchmark's own tests (bench/ is a separate module, so
+# the root `go test ./...` never compiles it): every workload at a tiny
+# scale, its metric names and output checks (~8 s).
+bench-module:
+	$(GO) -C bench test .
 
 # Record the headline perf numbers (ns/record, MB/s, allocs) as JSON;
 # compare against BENCH_baseline.json.

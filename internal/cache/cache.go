@@ -253,6 +253,17 @@ func (c *Cache) ProbeVictim(a mem.Addr) (hit bool, way int) {
 	set, tag := c.index(a)
 	base := int(set) * c.assoc
 	k := tag + 1
+	if c.assoc == 2 {
+		// Two-way fast path, as in Access.
+		t0, t1 := c.tags[base], c.tags[base+1]
+		if t0 == k || t1 == k {
+			return true, 0
+		}
+		if t0 != 0 && (t1 == 0 || c.meta[base+1] < c.meta[base]) {
+			return false, 1
+		}
+		return false, 0
+	}
 	firstInvalid := -1
 	victim := 0
 	var oldest uint64 = ^uint64(0)

@@ -227,6 +227,43 @@ func TestProbeDoesNotDisturbLRU(t *testing.T) {
 	}
 }
 
+// TestProbeVictimMatchesFill checks that the way ProbeVictim picks is
+// the one Fill's general victim scan would pick: two caches driven by the
+// same random demand accesses and invalidations take every stream fill
+// either as ProbeVictim+FillAtWay or as one Fill, and must stay identical.
+// Two ways exercise ProbeVictim's fast path, four its general loop.
+func TestProbeVictimMatchesFill(t *testing.T) {
+	for _, assoc := range []int{2, 4} {
+		cfg := Config{Size: 64 * 8 * assoc, Assoc: assoc, BlockSize: 64} // 8 sets
+		split, whole := MustNew(cfg), MustNew(cfg)
+		rng := rand.New(rand.NewSource(int64(assoc)))
+		for op := 0; op < 20_000; op++ {
+			a := mem.Addr(rng.Intn(64)) * 64
+			switch rng.Intn(4) {
+			case 0:
+				hit, way := split.ProbeVictim(a)
+				var got Result
+				if hit {
+					got = Result{Hit: true}
+				} else {
+					got = split.FillAtWay(a, way, true)
+				}
+				if want := whole.Fill(a, true); got != want {
+					t.Fatalf("assoc %d op %d: ProbeVictim+FillAtWay(%#x) = %+v, Fill = %+v", assoc, op, uint64(a), got, want)
+				}
+			case 1:
+				split.Invalidate(a)
+				whole.Invalidate(a)
+			default:
+				write := rng.Intn(3) == 0
+				if got, want := split.Access(a, write), whole.Access(a, write); got != want {
+					t.Fatalf("assoc %d op %d: Access(%#x) diverged: %+v vs %+v", assoc, op, uint64(a), got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestLargeBlockGeometry(t *testing.T) {
 	// Fig. 4's largest configuration: 8 kB blocks.
 	c := MustNew(Config{Size: 64 << 10, Assoc: 2, BlockSize: 8192})

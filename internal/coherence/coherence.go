@@ -312,14 +312,15 @@ func (s *System) AccessInto(res *AccessResult, cpu int, a mem.Addr, write bool) 
 // in L1 (coherence/false-sharing classification, sharer registration).
 // r1 is the already-performed L1 access outcome.
 func (s *System) accessSlow(res *AccessResult, cpu int, a mem.Addr, write bool, r1 cache.Result, l1, l2 *cache.Cache) {
-	bn := s.blockNum(a)
-	e := s.dir.get(bn)
+	// One lookup serves classification and bookkeeping: a unit's first
+	// entry is zero, which classifies exactly like an absent one.
+	e := s.dir.getOrInsert(s.blockNum(a))
 
 	// Classify coherence/false-sharing state. The original ordering ran
 	// this before the L1 access; the two touch disjoint state (the
 	// directory entry vs. the cache arrays), so classifying after the
 	// cache update observes identical values.
-	if e != nil && e.invalidated&(1<<uint(cpu)) != 0 {
+	if e.invalidated&(1<<uint(cpu)) != 0 {
 		res.CoherenceMiss = true
 		if e.writtenSubs&(1<<s.subOf(a)) == 0 {
 			res.FalseSharing = true
@@ -352,9 +353,6 @@ func (s *System) accessSlow(res *AccessResult, cpu int, a mem.Addr, write bool, 
 	}
 
 	// Directory bookkeeping.
-	if e == nil {
-		e = s.dir.getOrInsert(bn)
-	}
 	e.sharers |= 1 << uint(cpu)
 	if write {
 		res.Invalidations = s.invalidateRemote(cpu, a, e)
@@ -415,6 +413,19 @@ type StreamResult struct {
 	L2Evictions []cache.Eviction
 }
 
+// reset clears the result for reuse without a whole-struct store (see
+// AccessResult.reset).
+func (r *StreamResult) reset() {
+	r.AlreadyPresent = false
+	r.L2Hit = false
+	if r.L1Evictions != nil {
+		r.L1Evictions = nil
+	}
+	if r.L2Evictions != nil {
+		r.L2Evictions = nil
+	}
+}
+
 // Stream performs an SMS stream request: fetch the block into cpu's L1
 // (and L2) as a read, obeying the coherence protocol ("SMS stream requests
 // behave like read requests in the cache coherence protocol", §3.2).
@@ -427,7 +438,7 @@ func (s *System) Stream(cpu int, a mem.Addr) StreamResult {
 // StreamInto is Stream writing into a caller-owned result (see
 // AccessInto).
 func (s *System) StreamInto(res *StreamResult, cpu int, a mem.Addr) {
-	*res = StreamResult{}
+	res.reset()
 	l1 := s.l1s[cpu]
 	// One L1 scan answers both "already present?" and "which way will
 	// the fill use?" — the L2 work between never touches this L1.
@@ -450,8 +461,7 @@ func (s *System) StreamInto(res *StreamResult, cpu int, a mem.Addr) {
 		s.strEvL1 = append(s.strEvL1[:0], r.Victim)
 		res.L1Evictions = s.strEvL1
 	}
-	bn := s.blockNum(a)
-	e := s.dir.getOrInsert(bn)
+	e := s.dir.getOrInsert(s.blockNum(a))
 	// A streamed read copy clears any pending invalidation state for
 	// this CPU: the prefetch re-acquired the block.
 	e.sharers |= 1 << uint(cpu)
@@ -474,7 +484,7 @@ func (s *System) L2Stream(cpu int, a mem.Addr) StreamResult {
 // L2StreamInto is L2Stream writing into a caller-owned result (see
 // AccessInto).
 func (s *System) L2StreamInto(res *StreamResult, cpu int, a mem.Addr) {
-	*res = StreamResult{}
+	res.reset()
 	r2 := s.l2s[cpu].Fill(a, true)
 	if r2.Hit {
 		res.AlreadyPresent = true
@@ -484,8 +494,7 @@ func (s *System) L2StreamInto(res *StreamResult, cpu int, a mem.Addr) {
 		s.strEvL2 = append(s.strEvL2[:0], r2.Victim)
 		res.L2Evictions = s.strEvL2
 	}
-	bn := s.blockNum(a)
-	e := s.dir.getOrInsert(bn)
+	e := s.dir.getOrInsert(s.blockNum(a))
 	e.sharers |= 1 << uint(cpu)
 }
 

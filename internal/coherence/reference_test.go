@@ -9,6 +9,7 @@ package coherence
 // rewrite claim bit-identical simulation output.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -367,6 +368,33 @@ func sameStream(a, b StreamResult) bool {
 		sameEvictions(a.L2Evictions, b.L2Evictions)
 }
 
+// diffOp drives one randomly chosen operation at address a through both
+// implementations and fails on any difference.
+func diffOp(t *testing.T, leg string, op int, sys *System, ref *refSystem, rng *rand.Rand, cpu int, a mem.Addr) {
+	t.Helper()
+	switch rng.Intn(10) {
+	case 0, 1:
+		got := sys.Stream(cpu, sys.BlockAddr(a))
+		want := ref.stream(cpu, ref.blockAddr(a))
+		if !sameStream(got, want) {
+			t.Fatalf("%s op %d: Stream(cpu=%d, %#x):\n got  %+v\n want %+v", leg, op, cpu, uint64(a), got, want)
+		}
+	case 2:
+		got := sys.L2Stream(cpu, sys.BlockAddr(a))
+		want := ref.l2Stream(cpu, ref.blockAddr(a))
+		if !sameStream(got, want) {
+			t.Fatalf("%s op %d: L2Stream(cpu=%d, %#x):\n got  %+v\n want %+v", leg, op, cpu, uint64(a), got, want)
+		}
+	default:
+		write := rng.Intn(4) == 0
+		got := sys.Access(cpu, a, write)
+		want := ref.access(cpu, a, write)
+		if !sameAccess(got, want) {
+			t.Fatalf("%s op %d: Access(cpu=%d, %#x, write=%v):\n got  %+v\n want %+v", leg, op, cpu, uint64(a), write, got, want)
+		}
+	}
+}
+
 func TestSystemMatchesMapReference(t *testing.T) {
 	configs := []Config{
 		{CPUs: 4, L1: cache.Config{Size: 2048, Assoc: 2, BlockSize: 64}, L2: cache.Config{Size: 8192, Assoc: 4, BlockSize: 64}},
@@ -377,36 +405,49 @@ func TestSystemMatchesMapReference(t *testing.T) {
 		sys := MustNew(cfg)
 		ref := newRefSystem(cfg)
 		rng := rand.New(rand.NewSource(int64(42 + ci)))
+		leg := fmt.Sprintf("cfg %d", ci)
 		// A small address space forces heavy conflict, sharing, and
 		// invalidation traffic.
 		const blocks = 96
 		for op := 0; op < 60_000; op++ {
 			cpu := rng.Intn(cfg.CPUs)
 			a := mem.Addr(rng.Intn(blocks))*mem.Addr(cfg.L1.BlockSize) + mem.Addr(rng.Intn(cfg.L1.BlockSize))
-			switch rng.Intn(10) {
-			case 0, 1:
-				got := sys.Stream(cpu, sys.BlockAddr(a))
-				want := ref.stream(cpu, ref.blockAddr(a))
-				if !sameStream(got, want) {
-					t.Fatalf("cfg %d op %d: Stream(cpu=%d, %#x):\n got  %+v\n want %+v", ci, op, cpu, uint64(a), got, want)
-				}
-			case 2:
-				got := sys.L2Stream(cpu, sys.BlockAddr(a))
-				want := ref.l2Stream(cpu, ref.blockAddr(a))
-				if !sameStream(got, want) {
-					t.Fatalf("cfg %d op %d: L2Stream(cpu=%d, %#x):\n got  %+v\n want %+v", ci, op, cpu, uint64(a), got, want)
-				}
-			default:
-				write := rng.Intn(4) == 0
-				got := sys.Access(cpu, a, write)
-				want := ref.access(cpu, a, write)
-				if !sameAccess(got, want) {
-					t.Fatalf("cfg %d op %d: Access(cpu=%d, %#x, write=%v):\n got  %+v\n want %+v", ci, op, cpu, uint64(a), write, got, want)
-				}
-			}
+			diffOp(t, leg, op, sys, ref, rng, cpu, a)
 		}
 		if got, want := sys.dir.len(), len(ref.dir); got != want {
-			t.Fatalf("cfg %d: directory size %d, reference %d", ci, got, want)
+			t.Fatalf("%s: directory size %d, reference %d", leg, got, want)
 		}
+	}
+}
+
+// TestSystemMatchesMapReferenceLargeFootprint is the differential over a
+// footprint the directory must page: each CPU scans its own stretch of
+// units while random accesses land anywhere in 1<<17 units, so the page
+// index grows several times and scans share pages with random traffic.
+func TestSystemMatchesMapReferenceLargeFootprint(t *testing.T) {
+	cfg := Config{CPUs: 4, L1: cache.Config{Size: 4096, Assoc: 2, BlockSize: 64}, L2: cache.Config{Size: 32768, Assoc: 8, BlockSize: 64}}
+	sys := MustNew(cfg)
+	ref := newRefSystem(cfg)
+	rng := rand.New(rand.NewSource(7))
+	const units = 1 << 17
+	var scan [4]int
+	for op := 0; op < 300_000; op++ {
+		cpu := rng.Intn(cfg.CPUs)
+		u := rng.Intn(units)
+		if op%3 != 0 {
+			u = (cpu*units/cfg.CPUs + scan[cpu]) % units
+			scan[cpu]++
+		}
+		a := mem.Addr(u)*mem.Addr(cfg.L1.BlockSize) + mem.Addr(rng.Intn(cfg.L1.BlockSize))
+		diffOp(t, "large", op, sys, ref, rng, cpu, a)
+		if op%50_000 == 0 && sys.dir.len() != len(ref.dir) {
+			t.Fatalf("op %d: directory size %d, reference %d", op, sys.dir.len(), len(ref.dir))
+		}
+	}
+	if got, want := sys.dir.len(), len(ref.dir); got != want {
+		t.Fatalf("directory size %d, reference %d", got, want)
+	}
+	if got := sys.dir.len(); got < 100_000 {
+		t.Fatalf("footprint touched only %d units; the leg needs at least 100k", got)
 	}
 }

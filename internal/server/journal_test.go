@@ -322,7 +322,9 @@ func TestRestartRequeuesQueuedJobs(t *testing.T) {
 	srv2, ts2 := startRestartableServer(t, Config{
 		Session: sess2, Workers: 2, Experiments: fast, JournalPath: journalPath,
 	})
-	defer func() { ts2.Close(); srv2.Close(); _ = srv1 }()
+	// Release the corpse and wait for it to drain, so its late store
+	// writes cannot race the temp dir's removal.
+	defer func() { ts2.Close(); srv2.Close(); close(release); srv1.Close() }()
 
 	figDoc := pollJob(t, ts2.URL, figID)
 	if figDoc.State != JobDone || figDoc.Figure != "stalled figure" {
