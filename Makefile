@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: ci nightly fmt vet staticcheck build test test-full test-chaos bench bench-smoke bench-allocs bench-module bench-record fuzz-smoke fuzz-nightly smoke smoke-cluster smoke-chaos
+.PHONY: ci nightly fmt vet staticcheck build test test-full test-chaos bench bench-smoke bench-allocs bench-module bench-layers bench-record fuzz-smoke fuzz-nightly smoke smoke-cluster smoke-chaos
 
 ci: fmt vet staticcheck build test fuzz-smoke bench-smoke bench-allocs bench-module smoke smoke-cluster smoke-chaos
 
@@ -70,6 +70,12 @@ bench-allocs:
 # scale, its metric names and output checks (~8 s).
 bench-module:
 	$(GO) -C bench test .
+
+# The SMS path layer by layer (ROADMAP item 3): one traced sms-tier run
+# of the repository benchmark prints the ladder rungs and the per-call
+# Train/Drain costs (~1 min).
+bench-layers:
+	bash bench/run.sh --workload sms-tier --seed 1 --seconds 20 --trace 1
 
 # Record the headline perf numbers (ns/record, MB/s, allocs) as JSON;
 # compare against BENCH_baseline.json.

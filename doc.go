@@ -5,9 +5,10 @@
 // (bench_test.go), which regenerates every table and figure of the paper's
 // evaluation; the implementation lives under internal/:
 //
-//	internal/core      — SMS itself: AGT (filter + accumulation tables),
-//	                     pattern history table, prediction indices,
-//	                     prediction registers
+//	internal/core      — SMS itself: the active generation table (one
+//	                     tag index over filter and accumulating
+//	                     entries), pattern history table, prediction
+//	                     indices, prediction registers
 //	internal/sectored  — decoupled/logical sectored training baselines
 //	internal/ghb       — GHB PC/DC comparison prefetcher
 //	internal/stride    — stride prefetcher (extension baseline)

@@ -190,8 +190,16 @@ type dirEntry struct {
 	// write and have not re-acquired it.
 	invalidated uint64
 	// writtenSubs accumulates the 64 B sub-units written since the
-	// oldest outstanding invalidation.
+	// oldest outstanding invalidation: the first 64 of them. Units over
+	// 4 kB keep the rest in System.writtenHi.
 	writtenSubs uint64
+}
+
+// hiSubKey names one 64-bit word, past the first, of a coherence unit's
+// written-sub-unit set.
+type hiSubKey struct {
+	bn   uint64 // block number
+	word uint   // sub-unit / 64, at least 1
 }
 
 // System is the coherent multiprocessor memory system.
@@ -202,7 +210,14 @@ type System struct {
 	blockBits uint
 	subBits   uint
 	subMask   uint64
-	subsPer   int // sub-units per coherence unit
+	subsPer   int  // sub-units per coherence unit
+	subWords  uint // 64-bit words in a unit's written-sub-unit set
+
+	// writtenHi holds the written sub-units past the first 64, for
+	// coherence units over 4 kB (Fig. 4 sweeps to 8 kB, 128 sub-units).
+	// Keeping them out of dirEntry keeps every entry at 24 bytes; the
+	// map stays empty for smaller units.
+	writtenHi map[hiSubKey]uint64
 
 	// Scratch buffers backing the result slices (see AccessResult):
 	// demand accesses and stream fills use separate sets because the
@@ -229,6 +244,10 @@ func New(cfg Config) (*System, error) {
 		s.subsPer = 1
 	}
 	s.subMask = uint64(s.subsPer - 1)
+	s.subWords = uint(s.subsPer+63) / 64
+	if s.subWords > 1 {
+		s.writtenHi = make(map[hiSubKey]uint64)
+	}
 	for i := 0; i < cfg.CPUs; i++ {
 		s.l1s = append(s.l1s, cache.MustNew(cfg.L1))
 		s.l2s = append(s.l2s, cache.MustNew(cfg.L2))
@@ -260,6 +279,32 @@ func (s *System) blockNum(a mem.Addr) uint64 { return uint64(a) >> s.blockBits }
 
 func (s *System) subOf(a mem.Addr) uint {
 	return uint(uint64(a)>>s.subBits) & uint(s.subMask)
+}
+
+// subWritten reports whether sub-unit sub of unit bn (entry e) was
+// written since the oldest outstanding invalidation.
+func (s *System) subWritten(e *dirEntry, bn uint64, sub uint) bool {
+	if sub < 64 {
+		return e.writtenSubs&(1<<sub) != 0
+	}
+	return s.writtenHi[hiSubKey{bn, sub / 64}]&(1<<(sub%64)) != 0
+}
+
+// markWritten records a write to sub-unit sub of unit bn (entry e).
+func (s *System) markWritten(e *dirEntry, bn uint64, sub uint) {
+	if sub < 64 {
+		e.writtenSubs |= 1 << sub
+		return
+	}
+	s.writtenHi[hiSubKey{bn, sub / 64}] |= 1 << (sub % 64)
+}
+
+// clearWritten empties the written-sub-unit set of unit bn (entry e).
+func (s *System) clearWritten(e *dirEntry, bn uint64) {
+	e.writtenSubs = 0
+	for w := uint(1); w < s.subWords; w++ {
+		delete(s.writtenHi, hiSubKey{bn, w})
+	}
 }
 
 // Access performs a demand access by cpu. The result's slices are valid
@@ -314,7 +359,8 @@ func (s *System) AccessInto(res *AccessResult, cpu int, a mem.Addr, write bool) 
 func (s *System) accessSlow(res *AccessResult, cpu int, a mem.Addr, write bool, r1 cache.Result, l1, l2 *cache.Cache) {
 	// One lookup serves classification and bookkeeping: a unit's first
 	// entry is zero, which classifies exactly like an absent one.
-	e := s.dir.getOrInsert(s.blockNum(a))
+	bn := s.blockNum(a)
+	e := s.dir.getOrInsert(bn)
 
 	// Classify coherence/false-sharing state. The original ordering ran
 	// this before the L1 access; the two touch disjoint state (the
@@ -322,12 +368,12 @@ func (s *System) accessSlow(res *AccessResult, cpu int, a mem.Addr, write bool, 
 	// cache update observes identical values.
 	if e.invalidated&(1<<uint(cpu)) != 0 {
 		res.CoherenceMiss = true
-		if e.writtenSubs&(1<<s.subOf(a)) == 0 {
+		if !s.subWritten(e, bn, s.subOf(a)) {
 			res.FalseSharing = true
 		}
 		e.invalidated &^= 1 << uint(cpu)
 		if e.invalidated == 0 {
-			e.writtenSubs = 0
+			s.clearWritten(e, bn)
 		}
 	}
 
@@ -356,7 +402,7 @@ func (s *System) accessSlow(res *AccessResult, cpu int, a mem.Addr, write bool, 
 	e.sharers |= 1 << uint(cpu)
 	if write {
 		res.Invalidations = s.invalidateRemote(cpu, a, e)
-		e.writtenSubs |= 1 << s.subOf(a)
+		s.markWritten(e, bn, s.subOf(a))
 	}
 }
 
@@ -461,14 +507,15 @@ func (s *System) StreamInto(res *StreamResult, cpu int, a mem.Addr) {
 		s.strEvL1 = append(s.strEvL1[:0], r.Victim)
 		res.L1Evictions = s.strEvL1
 	}
-	e := s.dir.getOrInsert(s.blockNum(a))
+	bn := s.blockNum(a)
+	e := s.dir.getOrInsert(bn)
 	// A streamed read copy clears any pending invalidation state for
 	// this CPU: the prefetch re-acquired the block.
 	e.sharers |= 1 << uint(cpu)
 	if e.invalidated&(1<<uint(cpu)) != 0 {
 		e.invalidated &^= 1 << uint(cpu)
 		if e.invalidated == 0 {
-			e.writtenSubs = 0
+			s.clearWritten(e, bn)
 		}
 	}
 }

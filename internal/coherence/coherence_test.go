@@ -351,3 +351,34 @@ func TestInvalidationUnusedJudgedAtL2(t *testing.T) {
 		}
 	}
 }
+
+// TestFalseSharingClassifiedAcross8KUnit: in an 8 kB coherence unit a
+// re-read of the exact 64 B sub-unit another CPU wrote is true sharing,
+// and a re-read of a sub-unit it did not write is false sharing, in the
+// unit's upper 4 kB as in its lower.
+func TestFalseSharingClassifiedAcross8KUnit(t *testing.T) {
+	cfg := Config{
+		CPUs: 2,
+		L1:   cache.Config{Size: 32 << 10, Assoc: 2, BlockSize: 8192},
+		L2:   cache.Config{Size: 128 << 10, Assoc: 4, BlockSize: 8192},
+	}
+	for _, off := range []mem.Addr{64, 4096 - 64, 4096, 4160, 8192 - 64} {
+		for _, same := range []bool{true, false} {
+			s := MustNew(cfg)
+			const unit = mem.Addr(0x100000)
+			s.Access(0, unit+off, false)
+			w := unit + off
+			if !same {
+				w = unit + (off+4096)%8192 // other half of the unit
+			}
+			s.Access(1, w, true)
+			r := s.Access(0, unit+off, false)
+			if !r.CoherenceMiss {
+				t.Fatalf("offset %d: re-read after a remote write is not a coherence miss", off)
+			}
+			if r.FalseSharing == same {
+				t.Errorf("offset %d, writer at offset %d: FalseSharing = %v, want %v", off, w-unit, r.FalseSharing, !same)
+			}
+		}
+	}
+}

@@ -178,12 +178,19 @@ func (c *refCache) invalidate(a mem.Addr) cache.InvalidateResult {
 type refSystem struct {
 	cfg      Config
 	l1s, l2s []*refCache
-	dir      map[uint64]*dirEntry
+	dir      map[uint64]*refDirEntry
 	subsPer  int
 }
 
+// refDirEntry is a directory entry with the written sub-units as a set,
+// so any unit size is exact.
+type refDirEntry struct {
+	sharers, invalidated uint64
+	written              map[uint]bool
+}
+
 func newRefSystem(cfg Config) *refSystem {
-	s := &refSystem{cfg: cfg, dir: map[uint64]*dirEntry{}, subsPer: cfg.L1.BlockSize / subUnit}
+	s := &refSystem{cfg: cfg, dir: map[uint64]*refDirEntry{}, subsPer: cfg.L1.BlockSize / subUnit}
 	if s.subsPer < 1 {
 		s.subsPer = 1
 	}
@@ -215,12 +222,12 @@ func (s *refSystem) access(cpu int, a mem.Addr, write bool) AccessResult {
 	e := s.dir[bn]
 	if e != nil && e.invalidated&(1<<uint(cpu)) != 0 {
 		res.CoherenceMiss = true
-		if e.writtenSubs&(1<<s.subOf(a)) == 0 {
+		if !e.written[s.subOf(a)] {
 			res.FalseSharing = true
 		}
 		e.invalidated &^= 1 << uint(cpu)
 		if e.invalidated == 0 {
-			e.writtenSubs = 0
+			e.written = nil
 		}
 	}
 	r1 := s.l1s[cpu].access(a, write)
@@ -242,7 +249,7 @@ func (s *refSystem) access(cpu int, a mem.Addr, write bool) AccessResult {
 		}
 	}
 	if e == nil {
-		e = &dirEntry{}
+		e = &refDirEntry{}
 		s.dir[bn] = e
 	}
 	e.sharers |= 1 << uint(cpu)
@@ -271,7 +278,10 @@ func (s *refSystem) access(cpu int, a mem.Addr, write bool) AccessResult {
 			e.sharers &^= 1 << uint(cpuBit)
 			e.invalidated |= 1 << uint(cpuBit)
 		}
-		e.writtenSubs |= 1 << s.subOf(a)
+		if e.written == nil {
+			e.written = map[uint]bool{}
+		}
+		e.written[s.subOf(a)] = true
 	}
 	return res
 }
@@ -294,14 +304,14 @@ func (s *refSystem) stream(cpu int, a mem.Addr) StreamResult {
 	bn := s.blockNum(a)
 	e := s.dir[bn]
 	if e == nil {
-		e = &dirEntry{}
+		e = &refDirEntry{}
 		s.dir[bn] = e
 	}
 	e.sharers |= 1 << uint(cpu)
 	if e.invalidated&(1<<uint(cpu)) != 0 {
 		e.invalidated &^= 1 << uint(cpu)
 		if e.invalidated == 0 {
-			e.writtenSubs = 0
+			e.written = nil
 		}
 	}
 	return res
@@ -319,7 +329,7 @@ func (s *refSystem) l2Stream(cpu int, a mem.Addr) StreamResult {
 	bn := s.blockNum(a)
 	e := s.dir[bn]
 	if e == nil {
-		e = &dirEntry{}
+		e = &refDirEntry{}
 		s.dir[bn] = e
 	}
 	e.sharers |= 1 << uint(cpu)
@@ -400,6 +410,8 @@ func TestSystemMatchesMapReference(t *testing.T) {
 		{CPUs: 4, L1: cache.Config{Size: 2048, Assoc: 2, BlockSize: 64}, L2: cache.Config{Size: 8192, Assoc: 4, BlockSize: 64}},
 		{CPUs: 3, L1: cache.Config{Size: 4096, Assoc: 2, BlockSize: 256}, L2: cache.Config{Size: 16384, Assoc: 8, BlockSize: 256}},
 		{CPUs: 8, L1: cache.Config{Size: 1024, Assoc: 1, BlockSize: 64}, L2: cache.Config{Size: 4096, Assoc: 2, BlockSize: 64}},
+		// 8 kB units: 128 sub-units, half of them past the entry's word.
+		{CPUs: 4, L1: cache.Config{Size: 32768, Assoc: 2, BlockSize: 8192}, L2: cache.Config{Size: 131072, Assoc: 4, BlockSize: 8192}},
 	}
 	for ci, cfg := range configs {
 		sys := MustNew(cfg)

@@ -53,10 +53,18 @@ func (rf *RegisterFile) Arm(base mem.Addr, p mem.Pattern) {
 // armed registers. The returned slice aliases a buffer owned by the
 // register file, valid until the next call — the stream-issue loop
 // consumes it immediately, so steady-state streaming never allocates.
+//
+// The empty check inlines into callers: most calls find no armed
+// register.
 func (rf *RegisterFile) Next(max int) []mem.Addr {
 	if max <= 0 || len(rf.regs) == 0 {
 		return nil
 	}
+	return rf.pop(max)
+}
+
+// pop is Next's body for at least one armed register.
+func (rf *RegisterFile) pop(max int) []mem.Addr {
 	out := rf.out[:0]
 	for len(out) < max && len(rf.regs) > 0 {
 		if rf.next >= len(rf.regs) {

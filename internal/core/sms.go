@@ -151,8 +151,7 @@ type SMS struct {
 	geo   mem.Geometry
 	width int
 
-	filter    *FilterTable
-	accum     *AccumulationTable
+	agt       *activeGenerationTable
 	pht       *PatternHistoryTable
 	useFilter bool
 
@@ -177,8 +176,7 @@ func New(cfg Config) (*SMS, error) {
 		cfg:       cfg,
 		geo:       cfg.Geometry,
 		width:     cfg.Geometry.BlocksPerRegion(),
-		filter:    NewFilterTable(filterCap),
-		accum:     NewAccumulationTable(cfg.AccumEntries),
+		agt:       newActiveGenerationTable(filterCap, cfg.AccumEntries),
 		pht:       pht,
 		useFilter: useFilter,
 		regs:      NewRegisterFile(cfg.Geometry, cfg.PredictionRegisters),
@@ -215,9 +213,7 @@ func (s *SMS) Stats() Stats {
 func (s *SMS) PHT() *PatternHistoryTable { return s.pht }
 
 // AGTOccupancy returns current filter and accumulation table occupancy.
-func (s *SMS) AGTOccupancy() (filter, accum int) {
-	return s.filter.Len(), s.accum.Len()
-}
+func (s *SMS) AGTOccupancy() (filter, accum int) { return s.agt.Len() }
 
 // Access observes one demand L1 data access (§3.1, Figure 2). The AGT
 // processes every L1 access; if the access is the trigger of a new
@@ -227,63 +223,60 @@ func (s *SMS) Access(pc uint64, addr mem.Addr) {
 	s.stats.Accesses++
 	tag := s.geo.RegionTag(addr)
 	off := s.geo.RegionOffset(addr)
+	slot, pos := s.agt.find(tag)
 
-	// Step 3 in Figure 2: accesses to an active accumulating generation
-	// set pattern bits.
-	if e := s.accum.lookup(tag); e != nil {
-		e.pattern.Set(off)
-		s.accum.touch(e)
-		return
-	}
-
-	if s.useFilter {
-		if fe := s.filter.lookup(tag); fe != nil {
-			if fe.trig.offset == off {
-				// Repeated access to the trigger block: still a
-				// single-block generation.
-				return
-			}
-			// Step 2: second distinct block — transfer the generation
-			// from the filter to the accumulation table.
-			fe2, _ := s.filter.remove(tag)
-			p := mem.NewPattern(s.width)
-			p.Set(fe2.trig.offset)
-			p.Set(off)
-			s.insertAccum(accumEntry{tag: tag, trig: fe2.trig, pattern: p})
+	if pos >= 0 {
+		e := s.agt.at(pos)
+		if e.accum {
+			// Step 3 in Figure 2: accesses to an active accumulating
+			// generation set pattern bits.
+			e.pattern.Set(off)
+			s.agt.touch(pos)
 			return
 		}
-		// Step 1: trigger access for a new generation.
-		s.beginGeneration(tag, trigger{pc: pc, offset: off, addr: addr})
+		if e.trig.offset == off {
+			// Repeated access to the trigger block: still a
+			// single-block generation.
+			return
+		}
+		// Step 2: second distinct block — the generation moves from
+		// the filter to the accumulation table.
+		p := mem.NewPattern(s.width)
+		p.Set(e.trig.offset)
+		p.Set(off)
+		if victim := s.agt.promote(pos, p); victim != nil {
+			s.evictedAccum(victim)
+		}
 		return
 	}
 
-	// Filter disabled (ablation): allocate directly in the accumulation
-	// table on the trigger access.
-	p := mem.NewPattern(s.width)
-	p.Set(off)
-	s.insertAccum(accumEntry{tag: tag, trig: trigger{pc: pc, offset: off, addr: addr}, pattern: p})
-	s.predict(trigger{pc: pc, offset: off, addr: addr})
+	// Step 1: trigger access for a new generation. With the filter
+	// disabled (an ablation) it allocates straight into the
+	// accumulation table.
 	s.stats.Triggers++
-}
-
-// beginGeneration allocates a filter entry and consults the PHT.
-func (s *SMS) beginGeneration(tag uint64, trig trigger) {
-	s.stats.Triggers++
-	if _, evicted := s.filter.insert(tag, trig); evicted {
+	e, victim := s.agt.insert(slot, tag, !s.useFilter)
+	e.trig = trigger{pc: pc, offset: off, addr: addr}
+	if e.accum {
+		e.pattern = mem.NewPattern(s.width)
+		e.pattern.Set(off)
+	}
+	switch {
+	case victim == nil:
+	case victim.accum:
+		s.evictedAccum(victim)
+	default:
 		// A victim generation is dropped: it only had its trigger
 		// access, so there is nothing to learn.
 		s.stats.GenerationsEvictedFilter++
 	}
-	s.predict(trig)
+	s.predict(e.trig)
 }
 
-// insertAccum inserts into the accumulation table, transferring any
-// displaced victim generation's pattern to the PHT.
-func (s *SMS) insertAccum(e accumEntry) {
-	if victim, evicted := s.accum.insert(e); evicted {
-		s.stats.GenerationsEvictedAccum++
-		s.learn(victim)
-	}
+// evictedAccum transfers the pattern of a generation displaced from the
+// full accumulation table to the PHT.
+func (s *SMS) evictedAccum(victim *agtEntry) {
+	s.stats.GenerationsEvictedAccum++
+	s.learn(victim)
 }
 
 // predict consults the PHT for the trigger and arms a prediction register
@@ -314,7 +307,7 @@ func (s *SMS) predict(trig trigger) {
 }
 
 // learn transfers a completed generation's pattern to the PHT.
-func (s *SMS) learn(e accumEntry) {
+func (s *SMS) learn(e *agtEntry) {
 	key := indexKey(s.cfg.Index, s.geo, e.trig.pc, e.trig.addr)
 	p := e.pattern
 	if s.cfg.RotatePatterns {
@@ -331,22 +324,25 @@ func (s *SMS) learn(e accumEntry) {
 func (s *SMS) BlockRemoved(addr mem.Addr) {
 	tag := s.geo.RegionTag(addr)
 	off := s.geo.RegionOffset(addr)
-	if e := s.accum.lookup(tag); e != nil {
+	slot, pos := s.agt.find(tag)
+	if pos < 0 {
+		return
+	}
+	e := s.agt.at(pos)
+	if e.accum {
 		if !e.pattern.Test(off) {
 			return // block not accessed during this generation
 		}
-		removed, _ := s.accum.remove(tag)
+		s.agt.remove(slot, pos)
 		s.stats.GenerationsEnded++
-		s.learn(removed)
+		s.learn(e)
 		return
 	}
-	if s.useFilter {
-		if fe := s.filter.lookup(tag); fe != nil && fe.trig.offset == off {
-			// A generation with only its trigger access: discard.
-			s.filter.remove(tag)
-			s.stats.GenerationsEnded++
-			s.stats.GenerationsDroppedFilter++
-		}
+	if e.trig.offset == off {
+		// A generation with only its trigger access: discard.
+		s.agt.remove(slot, pos)
+		s.stats.GenerationsEnded++
+		s.stats.GenerationsDroppedFilter++
 	}
 }
 
@@ -364,5 +360,5 @@ func (s *SMS) ActiveStreams() int { return s.regs.Active() }
 // String implements fmt.Stringer.
 func (s *SMS) String() string {
 	return fmt.Sprintf("SMS{%s index=%s filter=%d accum=%d pht=%d regs=%d}",
-		s.geo, s.cfg.Index, s.filter.capacity, s.accum.capacity, s.cfg.PHTEntries, s.cfg.PredictionRegisters)
+		s.geo, s.cfg.Index, s.agt.filterCap, s.agt.accumCap, s.cfg.PHTEntries, s.cfg.PredictionRegisters)
 }

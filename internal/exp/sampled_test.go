@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -120,5 +121,33 @@ func TestSampledExperimentSoundness(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
 		}
+	}
+}
+
+// TestDSCoverageAgainstSampledBaseline: the DS study simulates every
+// post-warm-up read, while a sampled baseline counts only its windows.
+// Against a sampled baseline the DS row compares misses per read; against
+// an exact one it compares counts, exactly as before.
+func TestDSCoverageAgainstSampledBaseline(t *testing.T) {
+	ds := dsOutcome{reads: 10_000, readMisses: 500, overpredictions: 200}
+
+	exact := &sim.Result{Reads: 10_000, L1ReadMisses: 1_000}
+	if got, want := dsCoverage(ds, exact), sim.CoverageFrom(500, 200, 1_000); got != want {
+		t.Fatalf("exact baseline: %+v, want %+v", got, want)
+	}
+
+	// The same 10% miss rate, counted over one tenth of the reads.
+	sampled := &sim.Result{Reads: 1_000, L1ReadMisses: 100, Sampling: &sim.SamplingSummary{Windows: 4}}
+	got := dsCoverage(ds, sampled)
+	want := sim.Coverage{Covered: 0.5, Uncovered: 0.5, Overpredicted: 0.2}
+	const eps = 1e-12
+	if math.Abs(got.Covered-want.Covered) > eps || math.Abs(got.Uncovered-want.Uncovered) > eps ||
+		math.Abs(got.Overpredicted-want.Overpredicted) > eps {
+		t.Fatalf("sampled baseline: %+v, want %+v (the raw counts would say %+v)",
+			got, want, sim.CoverageFrom(ds.readMisses, ds.overpredictions, sampled.L1ReadMisses))
+	}
+
+	if got := dsCoverage(ds, &sim.Result{Sampling: &sim.SamplingSummary{}}); got != (sim.Coverage{}) {
+		t.Fatalf("sampled baseline without misses: %+v, want zero", got)
 	}
 }

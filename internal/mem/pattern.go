@@ -74,10 +74,22 @@ func (p Pattern) Test(i int) bool {
 	return p.hi&(1<<uint(i-64)) != 0
 }
 
+// check panics if i is not a valid bit index. The message is built out
+// of line (bitRangeError.Error, called only when the panic is printed),
+// which keeps Set, Clear and Test within the inliner's budget.
 func (p Pattern) check(i int) {
-	if i < 0 || i >= p.width {
-		panic(fmt.Sprintf("mem: pattern bit %d out of range [0,%d)", i, p.width))
+	if uint(i) >= uint(p.width) {
+		panic(bitRangeError{bit: i, width: p.width})
 	}
+}
+
+// bitRangeError is the panic value of a Pattern bit index out of range.
+type bitRangeError struct {
+	bit, width int
+}
+
+func (e bitRangeError) Error() string {
+	return fmt.Sprintf("mem: pattern bit %d out of range [0,%d)", e.bit, e.width)
 }
 
 // PopCount returns the number of set bits (the generation's density).

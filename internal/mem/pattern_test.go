@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -52,14 +53,23 @@ func TestPatternSetClearTest(t *testing.T) {
 func TestPatternOutOfRangePanics(t *testing.T) {
 	p := NewPattern(32)
 	for _, i := range []int{-1, 32, 64} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Test(%d) did not panic", i)
-				}
+		for name, f := range map[string]func(){
+			"Test":  func() { p.Test(i) },
+			"Set":   func() { p.Set(i) },
+			"Clear": func() { p.Clear(i) },
+		} {
+			func() {
+				defer func() {
+					r := recover()
+					err, ok := r.(error)
+					want := fmt.Sprintf("mem: pattern bit %d out of range [0,32)", i)
+					if !ok || err.Error() != want {
+						t.Errorf("%s(%d) panicked with %v, want %q", name, i, r, want)
+					}
+				}()
+				f()
 			}()
-			p.Test(i)
-		}()
+		}
 	}
 }
 

@@ -50,7 +50,7 @@ func btoi(b bool) int {
 }
 
 func TestStepSteadyStateZeroAllocs(t *testing.T) {
-	for _, pf := range []string{"none", "sms", "ghb", "nextline"} {
+	for _, pf := range []string{"none", "sms", "ls", "ghb", "stride", "nextline"} {
 		t.Run(pf, func(t *testing.T) {
 			r := MustNewRunner(Config{
 				PrefetcherName:   pf,

@@ -479,15 +479,21 @@ func (r *Runner) notifyPrefetcher(cpu int, rec trace.Record, acc *coherence.Acce
 	}
 	// Overpredictions are judged at the L2 lifetime: an L1 victim with a
 	// surviving L2 copy may still be used from L2.
-	r.countL2Overpredictions(acc)
-	r.feedInvalidations(acc)
-}
-
-// feedInvalidations forwards invalidations to the victims' engines: an
-// invalidation ends the spatial region generation on the CPU that lost
-// the block (§2.1) and destroys streamed-but-unused lines.
-func (r *Runner) feedInvalidations(acc *coherence.AccessResult) {
+	collecting := r.collecting()
+	if collecting {
+		for _, ev := range acc.L2Evictions {
+			if ev.PrefetchedUnused {
+				r.res.Overpredictions++
+			}
+		}
+	}
+	// One walk over the invalidations: a destroyed streamed-but-unused
+	// line is an overprediction, and an invalidation ends the spatial
+	// region generation on the CPU that lost the block (§2.1).
 	for _, inv := range acc.Invalidations {
+		if collecting && inv.PrefetchedUnused {
+			r.res.Overpredictions++
+		}
 		if inv.L1 {
 			r.pf[inv.CPU].Invalidated(inv.Addr)
 		}
@@ -498,24 +504,6 @@ func (r *Runner) feedInvalidations(acc *coherence.AccessResult) {
 // current record: past the global warm-up prefix and not inside a
 // sampled functional-warming phase.
 func (r *Runner) collecting() bool { return r.warm && !r.warming }
-
-// countL2Overpredictions accounts overpredictions judged at the L2
-// lifetime: streamed blocks whose L2 copy (or only copy) died unused.
-func (r *Runner) countL2Overpredictions(acc *coherence.AccessResult) {
-	if !r.collecting() {
-		return
-	}
-	for _, ev := range acc.L2Evictions {
-		if ev.PrefetchedUnused {
-			r.res.Overpredictions++
-		}
-	}
-	for _, inv := range acc.Invalidations {
-		if inv.PrefetchedUnused {
-			r.res.Overpredictions++
-		}
-	}
-}
 
 // issueStreams pulls up to StreamRate requests from the CPU's streaming
 // engine and applies them to the memory system.
@@ -537,6 +525,10 @@ func (r *Runner) stream(cpu int, a mem.Addr) {
 	sres := &r.sres
 	if r.fillL1 {
 		r.sys.StreamInto(sres, cpu, a)
+		if sres.AlreadyPresent {
+			// Dropped request: nothing filled, evicted or transferred.
+			return
+		}
 		for _, ev := range sres.L1Evictions {
 			r.pf[cpu].StreamEvicted(ev.Addr)
 		}
@@ -546,10 +538,11 @@ func (r *Runner) stream(cpu int, a mem.Addr) {
 		return
 	}
 	r.sys.L2StreamInto(sres, cpu, a)
+	if sres.AlreadyPresent {
+		return
+	}
 	if r.collecting() {
-		if !sres.AlreadyPresent {
-			r.res.OffChipBlocks++
-		}
+		r.res.OffChipBlocks++
 		for _, ev := range sres.L2Evictions {
 			if ev.Dirty {
 				r.res.OffChipBlocks++
@@ -561,7 +554,7 @@ func (r *Runner) stream(cpu int, a mem.Addr) {
 // accountStreamTraffic counts the off-chip transfers caused by an
 // L1-targeted stream fill.
 func (r *Runner) accountStreamTraffic(sres *coherence.StreamResult) {
-	if !r.collecting() || sres.AlreadyPresent {
+	if !r.collecting() {
 		return
 	}
 	if !sres.L2Hit {
