@@ -17,6 +17,14 @@
 // stamp is taken from a counter pre-incremented on every install, a live
 // way's metadata is never zero, and comparing whole metadata words orders
 // ways by recency (stamps dominate the flag byte).
+//
+// Every operation that reports a Result has an Into form (AccessInto,
+// FillInto, FillAtWayInto) that writes the outcome into a Result the
+// caller owns: the Result is overwritten on every call, so the caller
+// reads it before the next call that reuses it. The coherence layer
+// keeps one scratch Result per cache level and so moves no Result
+// through its call chain; Access, Fill and FillAtWay are one-line
+// by-value wrappers over the Into forms.
 package cache
 
 import (
@@ -155,34 +163,45 @@ type Result struct {
 
 // Access performs a demand access (read or write). On a miss the block is
 // filled, possibly displacing a victim.
+func (c *Cache) Access(a mem.Addr, write bool) Result {
+	var res Result
+	c.AccessInto(&res, a, write)
+	return res
+}
+
+// AccessInto is Access writing its outcome into res (see the package
+// comment's Into contract).
 //
 // The hit scan and the victim search share one pass over the set: the
 // victim is the first invalid way, else the lowest-LRU way (ties to the
 // lowest index).
-func (c *Cache) Access(a mem.Addr, write bool) Result {
+func (c *Cache) AccessInto(res *Result, a mem.Addr, write bool) {
 	set, tag := c.index(a)
 	c.clock++
 	base := int(set) * c.assoc
 	k := tag + 1
+	var newFlags uint8
+	if write {
+		newFlags = fDirty
+	}
 	if c.assoc == 2 {
 		// Two-way fast path (the paper's L1): both ways in registers,
 		// same victim policy as the general loop below.
 		t0, t1 := c.tags[base], c.tags[base+1]
 		if t0 == k {
-			return c.accessHit(base, write)
+			c.accessHit(res, base, write)
+			return
 		}
 		if t1 == k {
-			return c.accessHit(base+1, write)
+			c.accessHit(res, base+1, write)
+			return
 		}
 		victim := base
 		if t0 != 0 && (t1 == 0 || c.meta[base+1] < c.meta[base]) {
 			victim = base + 1
 		}
-		var newFlags uint8
-		if write {
-			newFlags = fDirty
-		}
-		return c.fillAt(victim, set, k, newFlags)
+		c.fillAt(res, victim, set, k, newFlags)
+		return
 	}
 	tags := c.tags[base : base+c.assoc]
 	firstInvalid := -1
@@ -196,7 +215,8 @@ func (c *Cache) Access(a mem.Addr, write bool) Result {
 			continue
 		}
 		if t == k {
-			return c.accessHit(base+i, write)
+			c.accessHit(res, base+i, write)
+			return
 		}
 		if m := c.meta[base+i]; m < oldest {
 			oldest = m
@@ -206,28 +226,20 @@ func (c *Cache) Access(a mem.Addr, write bool) Result {
 	if firstInvalid >= 0 {
 		victim = firstInvalid
 	}
-	var newFlags uint8
-	if write {
-		newFlags = fDirty
-	}
-	return c.fillAt(base+victim, set, k, newFlags)
+	c.fillAt(res, base+victim, set, k, newFlags)
 }
 
 // accessHit applies a demand hit to way slot j: first-use prefetch
 // accounting, used/dirty flags, LRU touch.
-func (c *Cache) accessHit(j int, write bool) Result {
+func (c *Cache) accessHit(res *Result, j int, write bool) {
 	f := uint8(c.meta[j])
-	res := Result{Hit: true}
-	if f&(fPrefetched|fUsed) == fPrefetched {
-		res.PrefetchHit = true
-		res.PrefetchOffChip = f&fOffChip != 0
-	}
+	first := f&(fPrefetched|fUsed) == fPrefetched
+	*res = Result{Hit: true, PrefetchHit: first, PrefetchOffChip: first && f&fOffChip != 0}
 	f |= fUsed
 	if write {
 		f |= fDirty
 	}
 	c.meta[j] = c.clock<<8 | uint64(f)
-	return res
 }
 
 // Probe reports whether the block is present without updating LRU or flags.
@@ -291,13 +303,20 @@ func (c *Cache) ProbeVictim(a mem.Addr) (hit bool, way int) {
 // FillAtWay installs a as a stream fill into the way chosen by a
 // preceding ProbeVictim, completing the split fill without rescanning.
 func (c *Cache) FillAtWay(a mem.Addr, way int, offChip bool) Result {
+	var res Result
+	c.FillAtWayInto(&res, a, way, offChip)
+	return res
+}
+
+// FillAtWayInto is FillAtWay writing its outcome into res.
+func (c *Cache) FillAtWayInto(res *Result, a mem.Addr, way int, offChip bool) {
 	set, tag := c.index(a)
 	c.clock++
 	newFlags := fPrefetched
 	if offChip {
 		newFlags |= fOffChip
 	}
-	return c.fillAt(int(set)*c.assoc+way, set, tag+1, newFlags)
+	c.fillAt(res, int(set)*c.assoc+way, set, tag+1, newFlags)
 }
 
 // Fill inserts a block as a stream/prefetch fill; offChip records whether
@@ -306,6 +325,13 @@ func (c *Cache) FillAtWay(a mem.Addr, way int, offChip bool) Result {
 // (Hit=true) and the line keeps its flags — callers can therefore use
 // Fill's Hit result instead of a separate Probe, saving a set scan.
 func (c *Cache) Fill(a mem.Addr, offChip bool) Result {
+	var res Result
+	c.FillInto(&res, a, offChip)
+	return res
+}
+
+// FillInto is Fill writing its outcome into res.
+func (c *Cache) FillInto(res *Result, a mem.Addr, offChip bool) {
 	set, tag := c.index(a)
 	c.clock++
 	base := int(set) * c.assoc
@@ -322,7 +348,8 @@ func (c *Cache) Fill(a mem.Addr, offChip bool) Result {
 			continue
 		}
 		if t == k {
-			return Result{Hit: true}
+			*res = Result{Hit: true}
+			return
 		}
 		if m := c.meta[base+i]; m < oldest {
 			oldest = m
@@ -336,26 +363,25 @@ func (c *Cache) Fill(a mem.Addr, offChip bool) Result {
 	if offChip {
 		newFlags |= fOffChip
 	}
-	return c.fillAt(base+victim, set, k, newFlags)
+	c.fillAt(res, base+victim, set, k, newFlags)
 }
 
 // fillAt installs packed tag k into way slot j (= set*assoc+way),
-// reporting the displaced line if it was valid. Callers pick the victim
-// during their hit scan (first invalid way, else lowest LRU).
-func (c *Cache) fillAt(j int, set, k uint64, newFlags uint8) Result {
-	res := Result{}
+// reporting the displaced line in res if it was valid. Callers pick the
+// victim during their hit scan (first invalid way, else lowest LRU).
+func (c *Cache) fillAt(res *Result, j int, set, k uint64, newFlags uint8) {
 	if old := c.tags[j]; old != 0 {
 		f := uint8(c.meta[j])
-		res.Evicted = true
-		res.Victim = Eviction{
+		*res = Result{Evicted: true, Victim: Eviction{
 			Addr:             c.addrOf(set, old-1),
 			Dirty:            f&fDirty != 0,
 			PrefetchedUnused: f&(fPrefetched|fUsed) == fPrefetched,
-		}
+		}}
+	} else {
+		*res = Result{}
 	}
 	c.tags[j] = k
 	c.meta[j] = c.clock<<8 | uint64(newFlags)
-	return res
 }
 
 func (c *Cache) addrOf(set, tag uint64) mem.Addr {

@@ -290,3 +290,46 @@ func TestPrefetchOffChipSourceFlag(t *testing.T) {
 		t.Fatalf("on-chip prefetch hit misflagged: %+v", res)
 	}
 }
+
+// TestIntoOverwritesResult pins the Into contract: one Result reused
+// across a random mix of AccessInto, FillInto and FillAtWayInto calls,
+// starting from a Result with every field set, must read exactly what
+// the by-value call returns on a twin cache — no field of an earlier
+// outcome survives into a later one. Both the two-way fast path and the
+// general set scan are covered.
+func TestIntoOverwritesResult(t *testing.T) {
+	for _, assoc := range []int{2, 4} {
+		cfg := Config{Size: 2048, Assoc: assoc, BlockSize: 64}
+		byValue, into := MustNew(cfg), MustNew(cfg)
+		res := Result{Hit: true, PrefetchHit: true, PrefetchOffChip: true, Evicted: true,
+			Victim: Eviction{Addr: 0xdead40, Dirty: true, PrefetchedUnused: true}}
+		rng := rand.New(rand.NewSource(int64(assoc)))
+		for i := 0; i < 20_000; i++ {
+			a := mem.Addr(rng.Intn(96) * 64)
+			var want Result
+			switch op := rng.Intn(4); op {
+			case 0, 1:
+				write := op == 1
+				want = byValue.Access(a, write)
+				into.AccessInto(&res, a, write)
+			case 2:
+				offChip := rng.Intn(2) == 0
+				want = byValue.Fill(a, offChip)
+				into.FillInto(&res, a, offChip)
+			default:
+				hit, way := byValue.ProbeVictim(a)
+				if hit != into.Probe(a) {
+					t.Fatalf("assoc %d, op %d: twins disagree on presence of %#x", assoc, i, a)
+				}
+				if hit {
+					continue
+				}
+				want = byValue.FillAtWay(a, way, true)
+				into.FillAtWayInto(&res, a, way, true)
+			}
+			if res != want {
+				t.Fatalf("assoc %d, op %d at %#x: Into read %+v, by-value %+v", assoc, i, a, res, want)
+			}
+		}
+	}
+}

@@ -226,6 +226,11 @@ type System struct {
 	accEvL1, accEvL2 []cache.Eviction
 	strEvL1, strEvL2 []cache.Eviction
 	invScratch       []Invalidation
+
+	// r1 and r2 receive the L1 and L2 outcome of each cache operation
+	// (the cache package's Into contract), so no cache.Result is
+	// returned by value through the access and stream call chains.
+	r1, r2 cache.Result
 }
 
 // New builds a coherent system from cfg.
@@ -333,30 +338,26 @@ func (s *System) AccessInto(res *AccessResult, cpu int, a mem.Addr, write bool) 
 	// classification and bookkeeping below would be no-ops. This removes
 	// a directory probe (a likely cache miss on large footprints) from
 	// the dominant access outcome.
-	if !write {
-		r1 := l1.Access(a, false)
-		if r1.Hit {
-			res.L1Hit = true
-			res.L1PrefetchHit = r1.PrefetchHit
-			res.L1PrefetchOffChip = r1.PrefetchOffChip
-			if r1.PrefetchHit {
-				// First use of a streamed block: its L2 copy is used too.
-				l2.MarkUsed(a)
-			}
-			return
+	r1 := &s.r1
+	l1.AccessInto(r1, a, write)
+	if !write && r1.Hit {
+		res.L1Hit = true
+		res.L1PrefetchHit = r1.PrefetchHit
+		res.L1PrefetchOffChip = r1.PrefetchOffChip
+		if r1.PrefetchHit {
+			// First use of a streamed block: its L2 copy is used too.
+			l2.MarkUsed(a)
 		}
-		s.accessSlow(res, cpu, a, false, r1, l1, l2)
 		return
 	}
-	r1 := l1.Access(a, true)
-	s.accessSlow(res, cpu, a, true, r1, l1, l2)
+	s.accessSlow(res, cpu, a, write, r1, l1, l2)
 }
 
 // accessSlow finishes an access that needs directory interaction: every
 // write (invalidations, written-sub tracking) and every read that missed
 // in L1 (coherence/false-sharing classification, sharer registration).
 // r1 is the already-performed L1 access outcome.
-func (s *System) accessSlow(res *AccessResult, cpu int, a mem.Addr, write bool, r1 cache.Result, l1, l2 *cache.Cache) {
+func (s *System) accessSlow(res *AccessResult, cpu int, a mem.Addr, write bool, r1 *cache.Result, l1, l2 *cache.Cache) {
 	// One lookup serves classification and bookkeeping: a unit's first
 	// entry is zero, which classifies exactly like an absent one.
 	bn := s.blockNum(a)
@@ -389,7 +390,8 @@ func (s *System) accessSlow(res *AccessResult, cpu int, a mem.Addr, write bool, 
 		res.L1Evictions = s.accEvL1
 	}
 	if !r1.Hit {
-		r2 := l2.Access(a, write)
+		r2 := &s.r2
+		l2.AccessInto(r2, a, write)
 		res.L2Hit = r2.Hit
 		res.L2PrefetchHit = r2.PrefetchHit
 		if r2.Evicted {
@@ -496,15 +498,17 @@ func (s *System) StreamInto(res *StreamResult, cpu int, a mem.Addr) {
 	// Fill doubles as the presence probe: it is a flag-preserving no-op
 	// on a resident block, so one scan answers "was it an L2 hit" and
 	// performs the fill when it was not.
-	r2 := s.l2s[cpu].Fill(a, true)
+	r2 := &s.r2
+	s.l2s[cpu].FillInto(r2, a, true)
 	res.L2Hit = r2.Hit
 	if r2.Evicted {
 		s.strEvL2 = append(s.strEvL2[:0], r2.Victim)
 		res.L2Evictions = s.strEvL2
 	}
-	r := l1.FillAtWay(a, way, !res.L2Hit)
-	if r.Evicted {
-		s.strEvL1 = append(s.strEvL1[:0], r.Victim)
+	r1 := &s.r1
+	l1.FillAtWayInto(r1, a, way, !res.L2Hit)
+	if r1.Evicted {
+		s.strEvL1 = append(s.strEvL1[:0], r1.Victim)
 		res.L1Evictions = s.strEvL1
 	}
 	bn := s.blockNum(a)
@@ -532,7 +536,8 @@ func (s *System) L2Stream(cpu int, a mem.Addr) StreamResult {
 // AccessInto).
 func (s *System) L2StreamInto(res *StreamResult, cpu int, a mem.Addr) {
 	res.reset()
-	r2 := s.l2s[cpu].Fill(a, true)
+	r2 := &s.r2
+	s.l2s[cpu].FillInto(r2, a, true)
 	if r2.Hit {
 		res.AlreadyPresent = true
 		return

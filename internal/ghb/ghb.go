@@ -110,6 +110,10 @@ type GHB struct {
 	buf   []histEntry
 	index []indexEntry
 	seq   int64 // monotonically increasing; buf slot = seq % len(buf)
+	// slotMask is len(buf)-1 when len(buf) is a power of two (both
+	// paper sizes are), so slot masks instead of dividing; 0 selects
+	// the % fallback for other sizes.
+	slotMask int64
 
 	stats Stats
 
@@ -130,6 +134,9 @@ func New(cfg Config) (*GHB, error) {
 		cfg:   cfg,
 		buf:   make([]histEntry, cfg.HistoryEntries),
 		index: make([]indexEntry, cfg.IndexEntries),
+	}
+	if n := len(g.buf); n&(n-1) == 0 {
+		g.slotMask = int64(n - 1)
 	}
 	for i := range g.index {
 		g.index[i].last = -1
@@ -169,7 +176,14 @@ func (g *GHB) StorageBits() int {
 	return len(g.buf)*(blockAddrBits+ptrBits) + len(g.index)*(pcTagBits+ptrBits)
 }
 
-func (g *GHB) slot(seq int64) *histEntry { return &g.buf[seq%int64(len(g.buf))] }
+// slot returns seq's buffer entry. seq is never negative here (live
+// rejects -1 before any lookup), so the mask and % agree.
+func (g *GHB) slot(seq int64) *histEntry {
+	if g.slotMask != 0 {
+		return &g.buf[seq&g.slotMask]
+	}
+	return &g.buf[seq%int64(len(g.buf))]
+}
 
 // live reports whether the entry for seq is still in the buffer (not yet
 // overwritten by wrap-around).

@@ -1,6 +1,7 @@
 package ghb
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -186,5 +187,46 @@ func TestStorageBitsMatchesSMSPHTOrder(t *testing.T) {
 	small := MustNew(Config{HistoryEntries: 256})
 	if small.StorageBits() >= big.StorageBits() {
 		t.Fatal("256-entry GHB should cost less than 16k")
+	}
+}
+
+// TestSlotMaskMatchesModulo pins the power-of-two slot mask to the %
+// fallback it replaces: the same training stream through a GHB using
+// the mask and through one forced onto % yields identical prefetches
+// and Stats, at both paper sizes and at a size where the mask cannot
+// apply. The stream is long enough to wrap each buffer several times.
+func TestSlotMaskMatchesModulo(t *testing.T) {
+	for _, tc := range []struct {
+		entries int
+		masked  bool
+	}{{256, true}, {16384, true}, {1000, false}} {
+		masked := MustNew(Config{HistoryEntries: tc.entries})
+		if got := masked.slotMask != 0; got != tc.masked {
+			t.Fatalf("%d entries: masked=%v, want %v", tc.entries, got, tc.masked)
+		}
+		modulo := MustNew(Config{HistoryEntries: tc.entries})
+		modulo.slotMask = 0
+
+		state := uint64(tc.entries)
+		trains := 4*tc.entries + 20_000
+		for i := 0; i < trains; i++ {
+			// Eight PCs, each walking its own stride pattern with
+			// occasional jumps, so chains, wrap-around and delta matches
+			// all occur.
+			state = state*6364136223846793005 + 1442695040888963407
+			pc := 0x400 + (state>>60)*4
+			block := uint64(i)*(1+pc%5) + (state>>40)%3*((state>>50)%2)
+			a := mem.Addr(block * 64)
+			got, want := masked.Train(pc, a), modulo.Train(pc, a)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d entries, train %d: masked %v, modulo %v", tc.entries, i, got, want)
+			}
+		}
+		if masked.Stats() != modulo.Stats() {
+			t.Fatalf("%d entries: stats %+v, modulo %+v", tc.entries, masked.Stats(), modulo.Stats())
+		}
+		if st := masked.Stats(); st.Prefetches == 0 || st.Matches == 0 {
+			t.Fatalf("%d entries: stream never predicted (%+v)", tc.entries, st)
+		}
 	}
 }

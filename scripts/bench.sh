@@ -224,6 +224,12 @@ echo "wrote $OUT"
 HIST=BENCH_history.jsonl
 ts=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 sha=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
+# Numbers taken from uncommitted code belong to no commit: mark them, so
+# a reader never takes them for HEAD's baseline. The BENCH_* files this
+# script itself rewrites do not count.
+if [ "$sha" != unknown ] && ! git diff --quiet HEAD -- . ':(exclude)BENCH_*' 2>/dev/null; then
+	sha="$sha-dirty"
+fi
 loadavg=$(cut -d' ' -f1-3 /proc/loadavg 2>/dev/null || echo unknown)
 printf '{"time":"%s","commit":"%s","out":"%s","env":{"gomaxprocs":%s,"cpu_model":"%s","loadavg":"%s"},"record":%s}\n' \
 	"$ts" "$sha" "$OUT" "$gomaxprocs" "$cpu_model" "$loadavg" "$(tr -d '\n' <"$OUT")" >>"$HIST"
