@@ -82,14 +82,16 @@ bench-layers:
 bench-record:
 	./scripts/bench.sh BENCH_after.json
 
-# Short fuzz pass over both trace decoders, smsd's journal replay and
-# fault-plan parsing: corrupt/truncated input must return wrapped errors
-# (ErrBadFormat, io.ErrUnexpectedEOF, "fault: ...") or be truncated
-# away, and never panic. Go runs one fuzz target per invocation.
+# Short fuzz pass over both trace decoders, smsd's journal replay, its
+# /v1/runs request validation and fault-plan parsing: corrupt/truncated
+# input must return wrapped errors (ErrBadFormat, io.ErrUnexpectedEOF,
+# "fault: ...") or be truncated away, an accepted run request must
+# simulate, and nothing may panic. Go runs one fuzz target per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReaderV1$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReaderV2$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 5s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultLoad$$' -fuzztime 5s ./internal/fault
 
 # The nightly workflow's longer fuzz pass.
@@ -97,6 +99,7 @@ fuzz-nightly:
 	$(GO) test -run '^$$' -fuzz '^FuzzReaderV1$$' -fuzztime 60s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReaderV2$$' -fuzztime 60s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 60s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime 60s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultLoad$$' -fuzztime 60s ./internal/fault
 
 # End-to-end daemon smoke: start smsd, submit a job, poll it to

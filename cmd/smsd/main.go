@@ -69,7 +69,6 @@ type options struct {
 	seed     int64
 	length   uint64
 	parallel int
-	runPar   int
 	quick    bool
 	grace    time.Duration
 
@@ -99,7 +98,6 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "workload generation seed")
 	flag.Uint64Var(&o.length, "length", 1_200_000, "accesses per workload trace (half is warm-up)")
 	flag.IntVar(&o.parallel, "parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-	flag.IntVar(&o.runPar, "run-parallel", 0, "region-sharded simulation lanes inside each run (0/1 = serial; results are bit-identical, shares the -parallel budget)")
 	flag.BoolVar(&o.quick, "quick", false, "abbreviated runs (overrides -cpus/-length)")
 	flag.DurationVar(&o.grace, "shutdown-deadline", 15*time.Second, "bound on graceful shutdown: in-flight simulations are cancelled, not drained")
 	flag.StringVar(&o.journalPath, "journal", "", "durable job journal path: jobs survive a kill and are recovered on restart (empty: journaling off)")
@@ -200,7 +198,6 @@ func run(logger *slog.Logger, o options) error {
 	}
 
 	sessOptions := exp.CLIOptions(o.cpus, o.seed, o.length, o.parallel, o.quick)
-	sessOptions.RunParallel = o.runPar
 	session := exp.NewSession(sessOptions)
 	if err := exp.AttachStore(session, o.storeDir); err != nil {
 		return err

@@ -55,7 +55,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 		seed     = fs.Int64("seed", 1, "workload generation seed")
 		length   = fs.Uint64("length", 1_200_000, "accesses per workload trace (half is warm-up)")
 		parallel = fs.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		runPar   = fs.Int("run-parallel", 0, "region-sharded simulation lanes inside each run (0/1 = serial; results are bit-identical, shares the -parallel budget)")
 		quick    = fs.Bool("quick", false, "abbreviated runs (overrides -cpus/-length)")
 		storeDir = fs.String("store", "", "persistent result store directory (reused across runs and by smsd)")
 		traceOut = fs.String("trace-out", "", "write run-phase spans as Chrome trace-event JSON (load via chrome://tracing or ui.perfetto.dev)")
@@ -79,7 +78,6 @@ func run(ctx context.Context, argv []string, stdout, stderr io.Writer) int {
 	}
 
 	opts := exp.CLIOptions(*cpus, *seed, *length, *parallel, *quick)
-	opts.RunParallel = *runPar
 	if *sample || *sampleWindow > 0 {
 		opts.Sampling = exp.SampledConfig(opts)
 		if *sampleWindow > 0 {

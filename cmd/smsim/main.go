@@ -47,7 +47,6 @@ func main() {
 		pht        = flag.Int("pht", core.DefaultPHTEntries, "PHT entries (0 = unbounded)")
 		ghbEntries = flag.Int("ghb-entries", 256, "GHB history buffer entries")
 		storeDir   = flag.String("store", "", "persistent result store directory (shared with smsexp/smsd)")
-		runPar     = flag.Int("run-parallel", 0, "region-sharded simulation lanes inside the run (0/1 = serial; results are bit-identical)")
 		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
 		traceOut   = flag.String("trace-out", "", "write run-phase spans as Chrome trace-event JSON (load via chrome://tracing or ui.perfetto.dev)")
@@ -113,7 +112,7 @@ func main() {
 		phtEntries = -1
 	}
 
-	opts := exp.Options{CPUs: *cpus, Seed: *seed, Length: *length, RunParallel: *runPar}
+	opts := exp.Options{CPUs: *cpus, Seed: *seed, Length: *length}
 	cfg := sim.Config{
 		Coherence:      opts.MemorySystem(64),
 		Geometry:       geo,

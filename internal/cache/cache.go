@@ -18,13 +18,11 @@
 // way's metadata is never zero, and comparing whole metadata words orders
 // ways by recency (stamps dominate the flag byte).
 //
-// Every operation that reports a Result has an Into form (AccessInto,
-// FillInto, FillAtWayInto) that writes the outcome into a Result the
-// caller owns: the Result is overwritten on every call, so the caller
-// reads it before the next call that reuses it. The coherence layer
-// keeps one scratch Result per cache level and so moves no Result
-// through its call chain; Access, Fill and FillAtWay are one-line
-// by-value wrappers over the Into forms.
+// Every operation that reports a Result (AccessInto, FillInto,
+// FillAtWayInto) writes the outcome into a Result the caller owns: the
+// Result is overwritten on every call, so the caller reads it before the
+// next call that reuses it. The coherence layer keeps one scratch Result
+// per cache level and so moves no Result through its call chain.
 package cache
 
 import (
@@ -161,16 +159,9 @@ type Result struct {
 	Victim Eviction
 }
 
-// Access performs a demand access (read or write). On a miss the block is
-// filled, possibly displacing a victim.
-func (c *Cache) Access(a mem.Addr, write bool) Result {
-	var res Result
-	c.AccessInto(&res, a, write)
-	return res
-}
-
-// AccessInto is Access writing its outcome into res (see the package
-// comment's Into contract).
+// AccessInto performs a demand access (read or write) and writes its
+// outcome into res (see the package comment's Into contract). On a miss
+// the block is filled, possibly displacing a victim.
 //
 // The hit scan and the victim search share one pass over the set: the
 // victim is the first invalid way, else the lowest-LRU way (ties to the
@@ -259,14 +250,14 @@ func (c *Cache) Probe(a mem.Addr) bool {
 // would use (first invalid way, else lowest LRU), so a stream fill whose
 // parameters depend on intermediate work (the L2 outcome) needs only one
 // scan. Like Probe it leaves LRU state and the clock untouched; pass the
-// way to FillAtWay only if no other operation touched this cache in
+// way to FillAtWayInto only if no other operation touched this cache in
 // between.
 func (c *Cache) ProbeVictim(a mem.Addr) (hit bool, way int) {
 	set, tag := c.index(a)
 	base := int(set) * c.assoc
 	k := tag + 1
 	if c.assoc == 2 {
-		// Two-way fast path, as in Access.
+		// Two-way fast path, as in AccessInto.
 		t0, t1 := c.tags[base], c.tags[base+1]
 		if t0 == k || t1 == k {
 			return true, 0
@@ -300,15 +291,9 @@ func (c *Cache) ProbeVictim(a mem.Addr) (hit bool, way int) {
 	return false, victim
 }
 
-// FillAtWay installs a as a stream fill into the way chosen by a
-// preceding ProbeVictim, completing the split fill without rescanning.
-func (c *Cache) FillAtWay(a mem.Addr, way int, offChip bool) Result {
-	var res Result
-	c.FillAtWayInto(&res, a, way, offChip)
-	return res
-}
-
-// FillAtWayInto is FillAtWay writing its outcome into res.
+// FillAtWayInto installs a as a stream fill into the way chosen by a
+// preceding ProbeVictim, completing the split fill without rescanning,
+// and writes its outcome into res.
 func (c *Cache) FillAtWayInto(res *Result, a mem.Addr, way int, offChip bool) {
 	set, tag := c.index(a)
 	c.clock++
@@ -319,18 +304,12 @@ func (c *Cache) FillAtWayInto(res *Result, a mem.Addr, way int, offChip bool) {
 	c.fillAt(res, int(set)*c.assoc+way, set, tag+1, newFlags)
 }
 
-// Fill inserts a block as a stream/prefetch fill; offChip records whether
-// the fill data came from off-chip memory (used for off-chip coverage
-// accounting). If the block is already present the call is a no-op
-// (Hit=true) and the line keeps its flags — callers can therefore use
-// Fill's Hit result instead of a separate Probe, saving a set scan.
-func (c *Cache) Fill(a mem.Addr, offChip bool) Result {
-	var res Result
-	c.FillInto(&res, a, offChip)
-	return res
-}
-
-// FillInto is Fill writing its outcome into res.
+// FillInto inserts a block as a stream/prefetch fill and writes its
+// outcome into res; offChip records whether the fill data came from
+// off-chip memory (used for off-chip coverage accounting). If the block
+// is already present the call is a no-op (res.Hit) and the line keeps
+// its flags — callers can therefore use the Hit outcome instead of a
+// separate Probe, saving a set scan.
 func (c *Cache) FillInto(res *Result, a mem.Addr, offChip bool) {
 	set, tag := c.index(a)
 	c.clock++

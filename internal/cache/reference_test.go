@@ -61,6 +61,7 @@ func TestCacheAgreesWithLRUReference(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		c := MustNew(cfg)
 		ref := newRefCache(cfg)
+		var res Result
 		for step := 0; step < 2000; step++ {
 			bn := uint64(rng.Intn(128)) // enough aliasing to force evictions
 			addr := mem.Addr(bn * 64)
@@ -73,7 +74,7 @@ func TestCacheAgreesWithLRUReference(t *testing.T) {
 				}
 				continue
 			}
-			res := c.Access(addr, rng.Intn(3) == 0)
+			c.AccessInto(&res, addr, rng.Intn(3) == 0)
 			wantHit, wantVictim, wantEvict := ref.access(bn)
 			if res.Hit != wantHit {
 				t.Fatalf("trial %d step %d bn=%d: hit %v, want %v", trial, step, bn, res.Hit, wantHit)

@@ -495,7 +495,7 @@ func (s *System) StreamInto(res *StreamResult, cpu int, a mem.Addr) {
 		res.AlreadyPresent = true
 		return
 	}
-	// Fill doubles as the presence probe: it is a flag-preserving no-op
+	// FillInto doubles as the presence probe: it is a flag-preserving no-op
 	// on a resident block, so one scan answers "was it an L2 hit" and
 	// performs the fill when it was not.
 	r2 := &s.r2

@@ -164,6 +164,9 @@ type SMS struct {
 func New(cfg Config) (*SMS, error) {
 	useFilter := cfg.FilterEntries >= 0
 	cfg = cfg.withDefaults()
+	if err := cfg.Geometry.CheckPatternWidth(); err != nil {
+		return nil, err
+	}
 	pht, err := NewPHT(cfg.PHTEntries, cfg.PHTAssoc)
 	if err != nil {
 		return nil, err

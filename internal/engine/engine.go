@@ -42,14 +42,6 @@ type Config struct {
 	// Parallel bounds concurrently executing simulations across all
 	// plans and bare runs (0 = GOMAXPROCS).
 	Parallel int
-	// RunParallel puts up to this many region-sharded simulation lanes
-	// behind every single run (sim.Exec.Lanes; 0 or 1 = serial runs).
-	// The engine divides the Parallel budget by it, so grid-level and
-	// run-level parallelism share one core pool instead of multiplying:
-	// Parallel=8 with RunParallel=4 admits 2 concurrent runs of 4 lanes
-	// each. Results are bit-identical either way — lanes are pure
-	// execution tuning and never enter the run's store identity.
-	RunParallel int
 	// Store optionally persists results across processes. Completed runs
 	// are written through; cancelled or failed runs never touch it.
 	Store *store.Store
@@ -94,12 +86,6 @@ type Engine struct {
 	generations atomic.Uint64
 	tierHits    atomic.Uint64
 	tierMisses  atomic.Uint64
-
-	// Pipeline telemetry harvested from each run's sim.PipelineStats
-	// (see localScheduler.Schedule); laneOccupancy is the last completed
-	// run's lane balance in integer percent.
-	pipeConflictReplays atomic.Uint64
-	laneOccupancy       atomic.Uint64
 }
 
 // entry is one memoized (possibly in-flight) run; followers block on done.
@@ -125,20 +111,9 @@ func New(cfg Config) *Engine {
 	if cfg.Parallel <= 0 {
 		cfg.Parallel = runtime.GOMAXPROCS(0)
 	}
-	// The semaphore admits concurrent *runs*; when each run fans out
-	// over RunParallel lanes, admitting Parallel of them would
-	// oversubscribe the pool by that factor, so the run slots divide the
-	// shared budget (never below one).
-	slots := cfg.Parallel
-	if cfg.RunParallel > 1 {
-		slots = cfg.Parallel / cfg.RunParallel
-		if slots < 1 {
-			slots = 1
-		}
-	}
 	e := &Engine{
 		cfg:  cfg,
-		sem:  make(chan struct{}, slots),
+		sem:  make(chan struct{}, cfg.Parallel),
 		memo: make(map[string]*entry),
 	}
 	e.sched = localScheduler{e}
@@ -193,25 +168,6 @@ func (e *Engine) TraceTierMisses() uint64 { return e.tierMisses.Load() }
 // CancelledRuns returns how many started simulations were cancelled
 // mid-run.
 func (e *Engine) CancelledRuns() uint64 { return e.cancelled.Load() }
-
-// PipelineConflictReplays returns how many runs asked for lanes but were
-// replayed serially because their configuration's per-record effects
-// cross lanes (attached prefetchers, instruction windows).
-func (e *Engine) PipelineConflictReplays() uint64 { return e.pipeConflictReplays.Load() }
-
-// PipelineLaneOccupancy returns the last lane-parallel run's lane
-// balance in integer percent (100 = perfectly even; 0 = no lane-parallel
-// run has completed).
-func (e *Engine) PipelineLaneOccupancy() uint64 { return e.laneOccupancy.Load() }
-
-// harvestPipeline folds one finished run's pipeline telemetry into the
-// engine counters.
-func (e *Engine) harvestPipeline(ps sim.PipelineStats) {
-	e.pipeConflictReplays.Add(ps.ConflictReplays)
-	if ps.Lanes > 1 {
-		e.laneOccupancy.Store(uint64(ps.Occupancy() + 0.5))
-	}
-}
 
 // CustomRuns returns how many custom plan cells this engine executed
 // (they are simulations too, just not store-memoized ones).

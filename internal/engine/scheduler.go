@@ -95,10 +95,6 @@ func (l localScheduler) Schedule(ctx context.Context, spec RunSpec, emit func(Ev
 	if err != nil {
 		return nil, fmt.Errorf("engine: %s: %w", spec.Workload, err)
 	}
-	// Execution tuning only: lanes never enter the cell's identity
-	// (spec.Key), so tuned and serial engines share store objects bit
-	// for bit.
-	runner.SetExec(sim.Exec{Lanes: e.cfg.RunParallel})
 	emit(Event{Kind: RunStarted})
 	runner.OnProgress(e.cfg.ProgressInterval, func(records uint64) {
 		emit(Event{Kind: RunProgress, Records: records})
@@ -119,6 +115,5 @@ func (l localScheduler) Schedule(ctx context.Context, spec RunSpec, emit func(Ev
 	runSpan := tr.Start("run", "engine", track)
 	res, err := runner.RunContext(ctx, src)
 	runSpan.End()
-	e.harvestPipeline(runner.PipelineStats())
 	return res, err
 }

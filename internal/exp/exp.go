@@ -49,12 +49,6 @@ type Options struct {
 	Length uint64
 	// Parallel bounds concurrent simulations (0 = GOMAXPROCS).
 	Parallel int
-	// RunParallel puts up to this many region-sharded lanes behind each
-	// single simulation (0/1 = serial). Pure execution tuning: results
-	// and store keys are bit-identical with it on or off, and the
-	// engine divides Parallel by it so the two levels share one core
-	// budget. See sim.Exec.
-	RunParallel int
 	// Sampling, when enabled, runs every standard plan cell in
 	// SMARTS-style sampled mode (engine.Sampled): detailed measurement
 	// windows with confidence intervals instead of every-record
@@ -134,11 +128,10 @@ func (o Options) BaselineConfig() sim.Config {
 // engineConfig derives the engine configuration the session binds.
 func (o Options) engineConfig(st *store.Store) engine.Config {
 	return engine.Config{
-		Workload:    workload.Config{CPUs: o.CPUs, Seed: o.Seed, Length: o.Length},
-		Warmup:      o.Length / 2,
-		Parallel:    o.Parallel,
-		RunParallel: o.RunParallel,
-		Store:       st,
+		Workload: workload.Config{CPUs: o.CPUs, Seed: o.Seed, Length: o.Length},
+		Warmup:   o.Length / 2,
+		Parallel: o.Parallel,
+		Store:    st,
 	}
 }
 

@@ -24,6 +24,17 @@ type Pattern struct {
 // the paper's largest region size (8 kB) with 64 B blocks.
 const MaxPatternWidth = 128
 
+// CheckPatternWidth reports an error when g's regions hold more blocks
+// than a Pattern can track. Every structure that records spatial
+// patterns calls it when it is built, so a too-wide region fails the
+// run up front instead of panicking in NewPattern mid-run.
+func (g Geometry) CheckPatternWidth() error {
+	if w := g.BlocksPerRegion(); w > MaxPatternWidth {
+		return fmt.Errorf("mem: %d B regions hold %d blocks, more than the %d a spatial pattern tracks", g.RegionSize(), w, MaxPatternWidth)
+	}
+	return nil
+}
+
 // NewPattern returns an empty pattern of the given width.
 // It panics if width is outside (0, MaxPatternWidth].
 func NewPattern(width int) Pattern {

@@ -106,6 +106,9 @@ func (c Config) Canonical() Config {
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	c = c.withDefaults()
+	if err := c.Geometry.CheckPatternWidth(); err != nil {
+		return err
+	}
 	sectors := c.CacheSize / c.Geometry.RegionSize()
 	if sectors < c.Assoc || sectors%c.Assoc != 0 {
 		return fmt.Errorf("sectored: %d sectors not divisible into %d ways", sectors, c.Assoc)

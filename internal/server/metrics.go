@@ -77,8 +77,6 @@ func newMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 	r.CounterFunc("smsd_engine_trace_generations_total", "Workload generator executions.", eng.TraceGenerations)
 	r.CounterFunc("smsd_trace_tier_hits_total", "Runs replayed from an mmap'd trace artifact.", eng.TraceTierHits)
 	r.CounterFunc("smsd_trace_tier_misses_total", "Disk trace-tier probes that found no artifact.", eng.TraceTierMisses)
-	r.CounterFunc("smsd_sim_pipeline_conflict_replays_total", "Runs that asked for parallel lanes but replayed serially because the configuration's effects cross lanes.", eng.PipelineConflictReplays)
-	r.GaugeFunc("smsd_sim_pipeline_lane_occupancy", "Last lane-parallel run's lane balance in percent (100 = perfectly even).", func() float64 { return float64(eng.PipelineLaneOccupancy()) })
 
 	// Store series render as 0 when no store is attached; previously they
 	// were omitted entirely, which real scrapers treat as a series reset.

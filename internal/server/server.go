@@ -48,7 +48,6 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -940,7 +939,11 @@ type RunResponse struct {
 
 // runConfig translates a request into the simulator config the session
 // will execute, mirroring the experiment harness conventions (standard
-// memory system, half-trace warm-up applied by the engine).
+// memory system, half-trace warm-up applied by the engine). It builds
+// the run once to validate it, so a config the simulator rejects (an
+// unknown prefetcher, an inconsistent sampling schedule, a region wider
+// than a spatial pattern under SMS) is a bad request rather than a
+// failed job.
 func (s *Server) runConfig(req RunRequest) (sim.Config, error) {
 	cfg := sim.Config{
 		Coherence:      s.session.Options().MemorySystem(64),
@@ -949,8 +952,8 @@ func (s *Server) runConfig(req RunRequest) (sim.Config, error) {
 	if cfg.PrefetcherName == "" {
 		cfg.PrefetcherName = "none"
 	}
-	if !nameRegistered(cfg.PrefetcherName) {
-		return sim.Config{}, fmt.Errorf("unknown prefetcher %q (have: %s)", req.Prefetcher, strings.Join(sim.Names(), ", "))
+	if req.RegionSize < 0 {
+		return sim.Config{}, fmt.Errorf("region_size %d is negative", req.RegionSize)
 	}
 	if req.RegionSize > 0 {
 		geo, err := mem.NewGeometry(mem.DefaultBlockSize, req.RegionSize)
@@ -960,21 +963,12 @@ func (s *Server) runConfig(req RunRequest) (sim.Config, error) {
 		cfg.Geometry = geo
 	}
 	if req.Sampling != nil {
-		if err := req.Sampling.Validate(); err != nil {
-			return sim.Config{}, err
-		}
 		cfg.Sampling = *req.Sampling
 	}
-	return cfg, nil
-}
-
-func nameRegistered(name string) bool {
-	for _, n := range sim.Names() {
-		if n == name {
-			return true
-		}
+	if _, err := sim.NewRunner(cfg); err != nil {
+		return sim.Config{}, err
 	}
-	return false
+	return cfg, nil
 }
 
 // maxRunRequestBytes caps the /v1/runs request body; a RunRequest is a

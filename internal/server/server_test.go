@@ -368,6 +368,11 @@ func TestRunJobLifecycle(t *testing.T) {
 		`{"workload":"nope"}`,
 		`{"workload":"sparse","prefetcher":"nope"}`,
 		`{"workload":"sparse","region_size":7}`,
+		`{"workload":"sparse","region_size":-2048}`,
+		// Regions wider than a spatial pattern under a scheme that
+		// records patterns: these used to panic mid-run and kill smsd.
+		`{"workload":"sparse","prefetcher":"sms","region_size":16384}`,
+		`{"workload":"sparse","prefetcher":"ls","region_size":16384}`,
 		`{"workload":"sparse","sampling":{"WindowRecords":500,"IntervalRecords":100}}`,
 		`{"workload":"sparse","sampling":{"WindowRecords":500,"Confidence":2}}`,
 		`not json`,
@@ -375,6 +380,9 @@ func TestRunJobLifecycle(t *testing.T) {
 		if code, _ := postJSON(t, ts.URL+"/v1/runs", bad); code != http.StatusBadRequest {
 			t.Errorf("bad request %q: status %d, want 400", bad, code)
 		}
+	}
+	if code, body := get(t, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after the bad requests: %d %q", code, body)
 	}
 }
 

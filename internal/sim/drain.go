@@ -7,10 +7,9 @@ import (
 	"repro/internal/trace"
 )
 
-// drain is how a run consumes its source, shared by the serial loop, the
-// lane fan-out and the sampled phase switch: batch sizing, the zero-copy
-// view versus copy choice, progress/cancellation pacing and the end-of-run
-// checks.
+// drain is how a run consumes its source, shared by the serial loop and
+// the sampled phase switch: batch sizing, the zero-copy view versus copy
+// choice, progress/cancellation pacing and the end-of-run checks.
 type drain struct {
 	r   *Runner
 	src trace.Source

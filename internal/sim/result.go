@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/ghb"
 	"repro/internal/sectored"
@@ -75,39 +73,6 @@ type Result struct {
 	// the golden hashes pinned over it — is unchanged by sampled mode
 	// existing.
 	Sampling *SamplingSummary `json:",omitempty"`
-}
-
-// accumulate folds a lane shard's result into r. Every mergeable field
-// is a commutative sum (counters, histogram buckets), so folding shards
-// in any fixed order reproduces the serial accumulation exactly. Fields
-// that are not order-free sums — window samples, predictor internals,
-// sampling summaries — never occur on shardable configurations; their
-// presence here is a bug, reported rather than silently dropped.
-func (r *Result) accumulate(o *Result) error {
-	if len(o.Windows) > 0 || len(o.SMSStats) > 0 || len(o.GHBStats) > 0 ||
-		len(o.LSStats) > 0 || len(o.PrefetcherStats) > 0 || o.Sampling != nil {
-		return fmt.Errorf("sim: merging a lane result with non-mergeable fields (windows/predictor stats/sampling)")
-	}
-	r.Accesses += o.Accesses
-	r.Reads += o.Reads
-	r.Writes += o.Writes
-	r.L1ReadMisses += o.L1ReadMisses
-	r.OffChipReadMisses += o.OffChipReadMisses
-	r.L1WriteMisses += o.L1WriteMisses
-	r.OffChipWriteMisses += o.OffChipWriteMisses
-	r.CoherenceReadMisses += o.CoherenceReadMisses
-	r.FalseSharingReadMisses += o.FalseSharingReadMisses
-	r.L1CoveredMisses += o.L1CoveredMisses
-	r.OffChipCoveredMisses += o.OffChipCoveredMisses
-	r.StreamRequests += o.StreamRequests
-	r.Overpredictions += o.Overpredictions
-	r.OffChipBlocks += o.OffChipBlocks
-	r.OracleGenerationsL1 += o.OracleGenerationsL1
-	r.OracleGenerationsL2 += o.OracleGenerationsL2
-	if err := r.DensityL1.AddHistogram(o.DensityL1); err != nil {
-		return err
-	}
-	return r.DensityL2.AddHistogram(o.DensityL2)
 }
 
 // Instructions returns the committed-instruction count covered by the

@@ -177,12 +177,6 @@ type Runner struct {
 	hasWindows bool
 	hasPf      bool // len(pf) > 0, hoisted out of Step
 
-	// exec is the execution tuning (lanes); pstats describes how the
-	// last RunContext actually executed. Neither ever affects the
-	// Result — see Exec.
-	exec   Exec
-	pstats PipelineStats
-
 	progressEvery uint64
 	onProgress    func(records uint64)
 
@@ -209,6 +203,11 @@ func NewRunner(cfg Config) (*Runner, error) {
 	}
 	if cfg.Sampling.Enabled() && cfg.WindowInstructions > 0 {
 		return nil, fmt.Errorf("sim: sampled mode is incompatible with the timing model's instruction windows (WindowInstructions); run the timing figures exact")
+	}
+	if cfg.TrackGenerations {
+		if err := cfg.Geometry.CheckPatternWidth(); err != nil {
+			return nil, err
+		}
 	}
 	sys, err := coherence.New(cfg.Coherence)
 	if err != nil {
@@ -310,27 +309,20 @@ const DefaultBatchRecords = 4096
 //
 // The trace is drained in batches (see drain), so sources that batch
 // natively (all workload generators, trace.Reader) feed the simulator
-// with no per-record interface calls. One of three consumers takes the
-// batches: the serial loop, the lane fan-out (Exec.Lanes), or the
-// sampled phase switch (Config.Sampling).
+// with no per-record interface calls. One of two consumers takes the
+// batches: the serial loop or the sampled phase switch (Config.Sampling).
 func (r *Runner) RunContext(ctx context.Context, src trace.Source) (*Result, error) {
 	// Phase spans flow to any tracer on ctx (nil-safe no-ops otherwise);
 	// they never touch the Result, so sampled and exact outputs stay
 	// bit-identical with or without a tracer attached.
 	ph := obs.TracerFrom(ctx).Phases("sim", obs.TrackFrom(ctx))
 	defer ph.Close()
-	r.pstats = PipelineStats{Lanes: 1}
 	d := r.newDrain(src)
 
-	var lanes []*Runner
 	var err error
-	switch n := r.laneCount(); {
-	case r.sampled != nil:
+	if r.sampled != nil {
 		err = r.runSampled(ctx, &d, ph)
-	case n > 1:
-		ph.Enter("fan-out")
-		lanes, err = r.runParallel(ctx, &d, n)
-	default:
+	} else {
 		ph.Enter("window")
 		err = r.runSerial(ctx, &d)
 	}
@@ -340,13 +332,7 @@ func (r *Runner) RunContext(ctx context.Context, src trace.Source) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	if lanes != nil {
-		if err := r.mergeLanes(lanes); err != nil {
-			return nil, err
-		}
-	} else {
-		r.finish()
-	}
+	r.finish()
 	if r.sampled != nil {
 		r.res.Sampling = r.sampled.summary()
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -204,6 +205,50 @@ func TestUnknownPrefetcherRejected(t *testing.T) {
 	}
 }
 
+// TestRegionsWiderThanAPatternRejected: a spatial pattern tracks at most
+// mem.MaxPatternWidth blocks, so every structure that records one (SMS,
+// LS, generation tracking) must refuse a wider region when the run is
+// built instead of panicking mid-run; schemes without patterns still run.
+func TestRegionsWiderThanAPatternRejected(t *testing.T) {
+	wide, err := mem.NewGeometry(mem.DefaultBlockSize, 16<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		pf     string
+		gens   bool
+		reject bool
+	}{
+		{"sms", false, true},
+		{"ls", false, true},
+		{"none", true, true},
+		{"none", false, false},
+		{"ghb", false, false},
+		{"stride", false, false},
+	} {
+		// The paper's 32 kB L1 holds two 16 kB sectors, so LS accepts the
+		// geometry on every count but the pattern width.
+		cc := coherence.Config{
+			CPUs: 1,
+			L1:   cache.Config{Size: 32 << 10, Assoc: 2, BlockSize: 64},
+			L2:   cache.Config{Size: 1 << 20, Assoc: 8, BlockSize: 64},
+		}
+		cfg := Config{Coherence: cc, Geometry: wide, PrefetcherName: tc.pf, TrackGenerations: tc.gens}
+		r, err := NewRunner(cfg)
+		if tc.reject {
+			if err == nil || !strings.Contains(err.Error(), "spatial pattern") {
+				t.Errorf("%s (gens %v): err = %v, want a pattern-width error", tc.pf, tc.gens, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.pf, err)
+		}
+		w, _ := workload.ByName("sparse")
+		r.Run(w.Make(workload.Config{CPUs: 1, Seed: 1, Length: 5_000}))
+	}
+}
+
 func TestStepDeterminism(t *testing.T) {
 	w, _ := workload.ByName("em3d")
 	mk := func() *Result {
@@ -264,22 +309,18 @@ func TestRunReturnsDetachedResult(t *testing.T) {
 	}
 }
 
-// driveModes are RunContext's three consumers of its one drive loop:
-// serial, the lane fan-out (on the baseline, the only shardable
-// configuration) and sampled over a seekable and a streamed source. src
-// wraps a record stream in the mode's source shape.
+// driveModes are the consumers of RunContext's one drive loop: serial,
+// and sampled over a seekable and a streamed source. src wraps a record
+// stream in the mode's source shape.
 var driveModes = []struct {
-	name  string
-	cfg   Config
-	exec  Exec
-	lanes int // effective lanes the run must settle on
-	src   func(trace.Source) trace.Source
+	name string
+	cfg  Config
+	src  func(trace.Source) trace.Source
 }{
-	{"serial", Config{PrefetcherName: "sms"}, Exec{}, 1, func(s trace.Source) trace.Source { return s }},
-	{"lanes", Config{}, Exec{Lanes: 4}, 4, func(s trace.Source) trace.Source { return s }},
-	{"sampled-seek", Config{PrefetcherName: "sms", Sampling: SamplingConfig{WindowRecords: 512, IntervalRecords: 4096}}, Exec{}, 1,
+	{"serial", Config{PrefetcherName: "sms"}, func(s trace.Source) trace.Source { return s }},
+	{"sampled-seek", Config{PrefetcherName: "sms", Sampling: SamplingConfig{WindowRecords: 512, IntervalRecords: 4096}},
 		func(s trace.Source) trace.Source { return trace.NewSliceSource(trace.Collect(s, 200_000)) }},
-	{"sampled-stream", Config{PrefetcherName: "sms", Sampling: SamplingConfig{WindowRecords: 512, IntervalRecords: 4096}}, Exec{}, 1,
+	{"sampled-stream", Config{PrefetcherName: "sms", Sampling: SamplingConfig{WindowRecords: 512, IntervalRecords: 4096}},
 		func(s trace.Source) trace.Source { return nextOnly{s} }},
 }
 
@@ -300,7 +341,6 @@ func TestRunContextCancelsPromptly(t *testing.T) {
 			})
 			src := m.src(endless)
 			r := MustNewRunner(m.cfg)
-			r.SetExec(m.exec)
 
 			ctx, cancel := context.WithCancel(context.Background())
 			var calls atomic.Uint64
@@ -334,9 +374,6 @@ func TestRunContextCancelsPromptly(t *testing.T) {
 			if got := calls.Load(); got > 4 {
 				t.Errorf("run kept going for %d progress intervals after cancel", got-3)
 			}
-			if got := r.PipelineStats().Lanes; got != m.lanes {
-				t.Errorf("ran on %d lanes, want %d", got, m.lanes)
-			}
 			// The last callback reports exactly the records the run
 			// consumed (skipped ones included).
 			if last != r.counted {
@@ -354,13 +391,8 @@ func TestRunContextCompletesLikeRun(t *testing.T) {
 	wcfg := workload.Config{CPUs: 4, Seed: 9, Length: n}
 	for _, m := range driveModes {
 		t.Run(m.name, func(t *testing.T) {
-			mk := func() *Runner {
-				r := MustNewRunner(m.cfg)
-				r.SetExec(m.exec)
-				return r
-			}
-			viaRun := mk().Run(m.src(w.Make(wcfg)))
-			rc := mk()
+			viaRun := MustNewRunner(m.cfg).Run(m.src(w.Make(wcfg)))
+			rc := MustNewRunner(m.cfg)
 			var last uint64
 			rc.OnProgress(0, func(records uint64) {
 				if records < last {
@@ -381,8 +413,67 @@ func TestRunContextCompletesLikeRun(t *testing.T) {
 			if viaCtx.Sampling != nil && viaCtx.Sampling.TotalRecords != n {
 				t.Errorf("sampled run accounted %d records, want %d", viaCtx.Sampling.TotalRecords, n)
 			}
-			if got := rc.PipelineStats().Lanes; got != m.lanes {
-				t.Errorf("ran on %d lanes, want %d", got, m.lanes)
+		})
+	}
+}
+
+// erringSource yields n records and then fails like a corrupt trace
+// artifact: exhaustion plus a latched Err.
+type erringSource struct {
+	n    int
+	fail error
+}
+
+func (s *erringSource) Next() (trace.Record, bool) {
+	if s.n == 0 {
+		return trace.Record{}, false
+	}
+	s.n--
+	return trace.Record{Addr: mem.Addr(64 * s.n), CPU: uint8(s.n % 2)}, true
+}
+
+func (s *erringSource) Err() error { return s.fail }
+
+// erringSlice is a seekable in-memory source with a latched Err: the
+// sampled consumer skips its cold gaps by seeking, and must still see the
+// error once the slice runs out.
+type erringSlice struct {
+	*trace.SliceSource
+	fail error
+}
+
+func (s erringSlice) Err() error { return s.fail }
+
+// TestRunContextSurfacesLatchedDecodeError pins the latched-error
+// contract for every consumer of RunContext's drive loop — serial, and
+// sampled over both a seekable and a streamed source: a source that
+// fails mid-stream must fail the run, so a corrupt trace never yields a
+// persistable Result.
+func TestRunContextSurfacesLatchedDecodeError(t *testing.T) {
+	const n = 10_000
+	recs := trace.Collect(&erringSource{n: n}, 0)
+	sampling := SamplingConfig{WindowRecords: 256, IntervalRecords: 2048}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		seek bool // a seekable in-memory source instead of a stream
+	}{
+		{"serial", Config{}, false},
+		{"sampled-seek", Config{Sampling: sampling}, true},
+		{"sampled-stream", Config{Sampling: sampling}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var src trace.Source = &erringSource{n: n, fail: trace.ErrBadFormat}
+			if tc.seek {
+				src = erringSlice{trace.NewSliceSource(recs), trace.ErrBadFormat}
+			}
+			tc.cfg.WarmupAccesses = 100
+			res, err := MustNewRunner(tc.cfg).RunContext(context.Background(), src)
+			if err == nil || !strings.Contains(err.Error(), "trace source failed mid-stream") {
+				t.Fatalf("err = %v, want latched decode error", err)
+			}
+			if res != nil {
+				t.Fatal("erring source produced a Result")
 			}
 		})
 	}

@@ -219,26 +219,6 @@ func (h *Histogram) Observe(v, w uint64) {
 	h.total += w
 }
 
-// AddHistogram accumulates o's counts into h. The two histograms must
-// share the same bucket bounds; merging shards of one measurement is the
-// intended use (bucketed counts are commutative sums, so a merge of
-// per-shard histograms equals the histogram of the merged stream).
-func (h *Histogram) AddHistogram(o *Histogram) error {
-	if len(h.bounds) != len(o.bounds) {
-		return fmt.Errorf("stats: merging histograms with %d vs %d bounds", len(h.bounds), len(o.bounds))
-	}
-	for i := range h.bounds {
-		if h.bounds[i] != o.bounds[i] {
-			return fmt.Errorf("stats: merging histograms with different bounds at %d (%d vs %d)", i, h.bounds[i], o.bounds[i])
-		}
-	}
-	for i := range h.counts {
-		h.counts[i] += o.counts[i]
-	}
-	h.total += o.total
-	return nil
-}
-
 // Buckets returns the number of buckets, including overflow.
 func (h *Histogram) Buckets() int { return len(h.counts) }
 

@@ -3,11 +3,9 @@
 #
 # Usage:
 #   scripts/bench.sh [OUTFILE]          # record (default BENCH_after.json)
-#   scripts/bench.sh --check            # CI gate: fail if any serial
-#                                       # hot-path benchmark allocates
-#                                       # per op, a pipelined leg exceeds
-#                                       # 0.01 allocs/record, or the
-#                                       # median-of-5 ns/record regressed
+#   scripts/bench.sh --check            # CI gate: fail if any hot-path
+#                                       # benchmark allocates per op, or
+#                                       # the median-of-5 ns/record regressed
 #                                       # >BENCH_TOLERANCE % (default 15)
 #                                       # vs the latest BENCH_history.jsonl
 #                                       # recording whose env (gomaxprocs,
@@ -33,12 +31,8 @@ cd "$(dirname "$0")/.."
 
 HEADLINE='^(BenchmarkSimulatorThroughput|BenchmarkSampledThroughput|BenchmarkPipelinedThroughput|BenchmarkTraceGeneration|BenchmarkTraceReplay|BenchmarkFig8Training)$'
 # Benchmarks that must not allocate per record in steady state (the
-# serial hot paths). The pipelined legs (serial, lanes2, lanes8) are
-# gated separately: lane-runner setup reallocates per run and must
-# amortize to <= MAX_PIPELINE_ALLOCS allocations per record.
-ZERO_ALLOC='BenchmarkSimulatorThroughput|BenchmarkSampledThroughput|BenchmarkTraceGeneration|BenchmarkTraceReplay'
-PIPELINED='BenchmarkPipelinedThroughput'
-MAX_PIPELINE_ALLOCS=0.01
+# hot paths), and whose ns/record the regression gate compares.
+ZERO_ALLOC='BenchmarkSimulatorThroughput|BenchmarkSampledThroughput|BenchmarkPipelinedThroughput|BenchmarkTraceGeneration|BenchmarkTraceReplay'
 
 # The machine environment every history entry records, and the key the
 # regression gate matches its baseline on.
@@ -66,28 +60,6 @@ if [ "${1:-}" = "--check" ]; then
 		END { exit bad }
 	'
 	echo "bench allocation check passed: hot-path benchmarks run at 0 B/op, 0 allocs/op"
-
-	# Pipelined legs: lane runners and their hand-off buffers reallocate
-	# per RunContext call, so instead of the integer allocs/op column (which
-	# truncates to 0) the benchmark reports a float allocs/record metric;
-	# gate it at MAX_PIPELINE_ALLOCS to catch per-record allocations
-	# sneaking into the fan-out or lane loops.
-	pout=$(go test -run '^$' -bench "^(${PIPELINED})\$" -benchtime=500000x -count=1 .)
-	echo "$pout"
-	echo "$pout" | awk -v max="$MAX_PIPELINE_ALLOCS" '
-		/allocs\/record/ {
-			ar = ""
-			for (i = 1; i <= NF; i++) if ($i == "allocs/record") ar = $(i-1)
-			if (ar == "") next
-			if (ar + 0 > max + 0) { print "FAIL: " $1 " at " ar " allocs/record (max " max ")"; bad = 1 }
-			checked++
-		}
-		END {
-			if (!checked) { print "FAIL: no allocs/record metrics found"; exit 1 }
-			exit bad
-		}
-	'
-	echo "pipelined allocation check passed: steady state <= ${MAX_PIPELINE_ALLOCS} allocs/record"
 
 	# Regression gate: compare ns/op (= ns/record) per benchmark against
 	# the most recent BENCH_history.jsonl recording made under this

@@ -71,11 +71,7 @@ wait_healthy() {
 TMP=$(mktemp -d)
 
 # --- Job to completion, against a fast daemon ------------------------------
-# -run-parallel exercises the lane path end to end: the sms job below is
-# not lane-shardable (prefetcher state is global) and must count a
-# conflict replay; the later none-prefetcher job runs laned and must
-# report lane occupancy.
-"$BIN" -addr 127.0.0.1:0 -cpus 1 -length 120000 -run-parallel 2 >"$TMP/fast.log" 2>&1 &
+"$BIN" -addr 127.0.0.1:0 -cpus 1 -length 120000 >"$TMP/fast.log" 2>&1 &
 FAST_PID=$!
 PORT_FAST=$(wait_port "$TMP/fast.log")
 wait_healthy "$PORT_FAST" "$TMP/fast.log"
@@ -125,35 +121,15 @@ grep -q '^smsd_simulations_total 1$' "$TMP/metrics1.txt" ||
     fail "simulations_total did not count the run"
 grep -q 'smsd_run_duration_seconds_count 1' "$TMP/metrics1.txt" ||
     fail "run duration histogram did not observe the run"
-grep -q '^smsd_sim_pipeline_conflict_replays_total 1$' "$TMP/metrics1.txt" ||
-    fail "sms run under -run-parallel did not count a conflict replay"
 say "job counters incremented and /metrics still parses"
 
-# --- Lane-parallel run: a shardable (no-prefetcher) job --------------------
-curl -fsS -X POST "http://127.0.0.1:$PORT_FAST/v1/runs" \
-    -d '{"workload":"sparse","prefetcher":"none"}' >"$TMP/submit_p.json"
-JOBP=$(json_field "$TMP/submit_p.json" id)
-[ -n "$JOBP" ] || fail "no job id in lane-parallel submit: $(cat "$TMP/submit_p.json")"
-i=0
-while :; do
-    curl -fsS "http://127.0.0.1:$PORT_FAST/v1/jobs/$JOBP" >"$TMP/poll_p.json"
-    STATE=$(json_field "$TMP/poll_p.json" state)
-    case "$STATE" in
-    done) break ;;
-    failed | cancelled) fail "lane-parallel job settled as $STATE: $(cat "$TMP/poll_p.json")" ;;
-    esac
-    i=$((i + 1))
-    [ "$i" -gt 300 ] && fail "lane-parallel job stuck in state $STATE"
-    sleep 0.2
-done
-curl -fsS "http://127.0.0.1:$PORT_FAST/metrics" >"$TMP/metrics2.txt"
-go run ./internal/obs/obscheck metrics "$TMP/metrics2.txt" ||
-    fail "post-lane-run /metrics is not valid Prometheus exposition"
-# Occupancy is 100*total/(lanes*max): any records at all put it in
-# [50,100] for 2 lanes, so zero means the run never went laned.
-grep -q '^smsd_sim_pipeline_lane_occupancy [1-9]' "$TMP/metrics2.txt" ||
-    fail "lane-parallel run reported no lane occupancy"
-say "lane-parallel job $JOBP ran laned and reported occupancy"
+# A region wider than a spatial pattern under SMS is a bad request, and
+# the daemon keeps serving after it.
+CODE=$(curl -sS -o "$TMP/wide.json" -w '%{http_code}' -X POST "http://127.0.0.1:$PORT_FAST/v1/runs" \
+    -d '{"workload":"sparse","prefetcher":"sms","region_size":16384}')
+[ "$CODE" = 400 ] || fail "16 kB-region sms run answered $CODE, want 400: $(cat "$TMP/wide.json")"
+curl -fsS "http://127.0.0.1:$PORT_FAST/healthz" >/dev/null || fail "daemon down after a wide-region request"
+say "16 kB-region sms run refused with 400; daemon still healthy"
 
 # --- Sampled run: the job API's sampling field end to end ------------------
 curl -fsS -X POST "http://127.0.0.1:$PORT_FAST/v1/runs" \
