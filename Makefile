@@ -83,16 +83,19 @@ bench-record:
 	./scripts/bench.sh BENCH_after.json
 
 # Short fuzz pass over both trace decoders, smsd's journal replay, its
-# /v1/runs request validation and fault-plan parsing: corrupt/truncated
-# input must return wrapped errors (ErrBadFormat, io.ErrUnexpectedEOF,
-# "fault: ...") or be truncated away, an accepted run request must
-# simulate, and nothing may panic. Go runs one fuzz target per invocation.
+# /v1/runs request validation, fault-plan parsing and the store's trace
+# upload: corrupt/truncated input must return wrapped errors
+# (ErrBadFormat, io.ErrUnexpectedEOF, "fault: ...") or be truncated away,
+# an accepted run request must simulate, an accepted trace must replay
+# in full or latch an error, and nothing may panic. Go runs one fuzz
+# target per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReaderV1$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzReaderV2$$' -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime 5s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultLoad$$' -fuzztime 5s ./internal/fault
+	$(GO) test -run '^$$' -fuzz '^FuzzPutTraceRaw$$' -fuzztime 5s ./internal/store
 
 # The nightly workflow's longer fuzz pass.
 fuzz-nightly:
@@ -101,6 +104,7 @@ fuzz-nightly:
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 60s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime 60s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzFaultLoad$$' -fuzztime 60s ./internal/fault
+	$(GO) test -run '^$$' -fuzz '^FuzzPutTraceRaw$$' -fuzztime 60s ./internal/store
 
 # End-to-end daemon smoke: start smsd, submit a job, poll it to
 # completion, cancel a second one.

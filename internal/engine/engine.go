@@ -22,7 +22,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/store"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -40,7 +39,8 @@ type Config struct {
 	// cannot) vary it.
 	Warmup uint64
 	// Parallel bounds concurrently executing simulations across all
-	// plans and bare runs (0 = GOMAXPROCS).
+	// plans and bare runs (0 = GOMAXPROCS). Execute takes a grid's
+	// cells in the order admission.go describes.
 	Parallel int
 	// Store optionally persists results across processes. Completed runs
 	// are written through; cancelled or failed runs never touch it.
@@ -53,7 +53,9 @@ type Config struct {
 	// workload replay a byte-identical record sequence from memory
 	// instead of re-running the generator. 0 selects
 	// DefaultTraceCacheBytes; negative disables the memo. Traces longer
-	// than the budget always stream from the generator.
+	// than the budget always stream from the generator. With a Store
+	// attached, a workload's entry lives only while queued or running
+	// cells still need it (see admission.go).
 	TraceCacheBytes int64
 }
 
@@ -68,11 +70,6 @@ type Engine struct {
 	sched  CellScheduler   // where cells execute; localScheduler by default
 	fault  *fault.Injector // chaos injector; nil in production
 	traces *traceCache     // nil when disabled
-
-	// The disk trace tier keeps one shared mapping per replayed
-	// artifact; every run gets its own decoding stream over it.
-	tierMu    sync.Mutex
-	tierFiles map[string]*trace.File
 
 	mu    sync.Mutex
 	memo  map[string]*entry
@@ -122,7 +119,9 @@ func New(cfg Config) *Engine {
 		if budget == 0 {
 			budget = DefaultTraceCacheBytes
 		}
-		e.traces = newTraceCache(budget)
+		// With a store, later runs of a workload no cell still needs
+		// replay the trace tier instead of pinning the memo entry.
+		e.traces = newTraceCache(budget, cfg.Store != nil)
 	}
 	return e
 }
@@ -222,6 +221,8 @@ func (e *Engine) Run(ctx context.Context, workloadName string, cfg sim.Config) (
 		ev.Key = key
 		sink(ev)
 	}
+	e.traces.hold(workloadName)
+	defer e.traces.release(workloadName)
 	return e.run(ctx, workloadName, cfg, key, emit)
 }
 
@@ -372,80 +373,93 @@ func (e *Engine) Execute(ctx context.Context, plan Plan) (*Grid, error) {
 	var done atomic.Int64
 	grid := &Grid{plan: plan, cells: c.cells, customs: make(map[cellRef]*customCell, len(plan.Customs))}
 	grid.counts.Runs = len(c.nodes)
-
-	var wg sync.WaitGroup
-	for _, n := range c.nodes {
-		wg.Add(1)
-		go func(n *node) {
-			defer wg.Done()
-			cell := n.cells[0]
-			emit := func(ev Event) {
+	emitter := func(workload, variant string, n *node) func(Event) {
+		return func(ev Event) {
+			if n != nil {
 				switch ev.Kind {
 				case RunStarted:
 					n.started = true
 				case RunCached:
 					n.cached = true
 				}
-				ev.Plan = plan.Name
-				ev.Workload = cell.workload
-				ev.Variant = cell.key
 				ev.Key = n.key
-				if ev.Kind != RunProgress {
-					ev.Done = int(done.Load())
-				}
-				ev.Total = total
-				sink(ev)
 			}
-			n.res, n.err = e.run(ctx, n.workload, n.cfg, n.key, emit)
-			if n.err != nil && isCtxErr(n.err) && !n.started {
-				done.Add(1)
-				emit(Event{Kind: RunSkipped})
-				return
+			ev.Plan = plan.Name
+			ev.Workload = workload
+			ev.Variant = variant
+			if ev.Kind != RunProgress {
+				ev.Done = int(done.Load())
 			}
-			done.Add(1)
-		}(n)
+			ev.Total = total
+			sink(ev)
+		}
 	}
 
-	for i := range plan.Customs {
-		cu := plan.Customs[i]
-		cc := &customCell{}
-		grid.customs[cellRef{cu.Workload, cu.Key}] = cc
+	// Workers take the cells in admission order (admission.go); with a
+	// cluster coordinator, every cell starts at once.
+	order := admissionOrder(c, plan.Customs)
+	workers := len(order)
+	if _, local := e.sched.(localScheduler); local {
+		workers = min(workers, e.cfg.Parallel)
+	}
+	for _, gc := range order {
+		e.traces.hold(gc.workload)
+		if gc.n == nil {
+			cu := plan.Customs[gc.custom]
+			grid.customs[cellRef{cu.Workload, cu.Key}] = &customCell{}
+		}
+	}
+	runNode := func(n *node) {
+		emit := emitter(n.cells[0].workload, n.cells[0].key, n)
+		n.res, n.err = e.run(ctx, n.workload, n.cfg, n.key, emit)
+		done.Add(1)
+		if n.err != nil && isCtxErr(n.err) && !n.started {
+			emit(Event{Kind: RunSkipped})
+		}
+	}
+	runCustom := func(cu Custom) {
+		cc := grid.customs[cellRef{cu.Workload, cu.Key}]
+		defer done.Add(1)
+		emit := emitter(cu.Workload, cu.Key, nil)
+		select {
+		case e.sem <- struct{}{}:
+		case <-ctx.Done():
+			cc.err = ctx.Err()
+			emit(Event{Kind: RunSkipped})
+			return
+		}
+		defer func() { <-e.sem }()
+		if err := ctx.Err(); err != nil {
+			cc.err = err
+			emit(Event{Kind: RunSkipped})
+			return
+		}
+		emit(Event{Kind: RunStarted})
+		cc.started = true
+		e.customs.Add(1)
+		cc.val, cc.err = e.runCustom(ctx, cu)
+		if cc.err != nil {
+			emit(Event{Kind: RunFailed, Err: cc.err})
+			return
+		}
+		emit(Event{Kind: RunFinished})
+	}
+
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			emit := func(ev Event) {
-				ev.Plan = plan.Name
-				ev.Workload = cu.Workload
-				ev.Variant = cu.Key
-				if ev.Kind != RunProgress {
-					ev.Done = int(done.Load())
+			for i := int(next.Add(1)) - 1; i < len(order); i = int(next.Add(1)) - 1 {
+				gc := order[i]
+				if gc.n != nil {
+					runNode(gc.n)
+				} else {
+					runCustom(plan.Customs[gc.custom])
 				}
-				ev.Total = total
-				sink(ev)
+				e.traces.release(gc.workload)
 			}
-			defer done.Add(1)
-			select {
-			case e.sem <- struct{}{}:
-			case <-ctx.Done():
-				cc.err = ctx.Err()
-				emit(Event{Kind: RunSkipped})
-				return
-			}
-			defer func() { <-e.sem }()
-			if err := ctx.Err(); err != nil {
-				cc.err = err
-				emit(Event{Kind: RunSkipped})
-				return
-			}
-			emit(Event{Kind: RunStarted})
-			cc.started = true
-			e.customs.Add(1)
-			cc.val, cc.err = cu.Run(ctx)
-			if cc.err != nil {
-				emit(Event{Kind: RunFailed, Err: cc.err})
-				return
-			}
-			emit(Event{Kind: RunFinished})
 		}()
 	}
 	wg.Wait()
@@ -456,4 +470,16 @@ func (e *Engine) Execute(ctx context.Context, plan Plan) (*Grid, error) {
 	}
 	sink(Event{Kind: GridDone, Plan: plan.Name, Grid: grid, Err: execErr, Done: int(done.Load()), Total: total})
 	return grid, execErr
+}
+
+// runCustom computes a custom cell over the trace the engine resolves
+// for its workload, and closes that trace after the cell.
+func (e *Engine) runCustom(ctx context.Context, cu Custom) (any, error) {
+	w, err := workload.ByName(cu.Workload)
+	if err != nil {
+		return nil, err
+	}
+	src := e.openTrace(ctx, w)
+	defer closeSource(src)
+	return cu.Run(ctx, src)
 }

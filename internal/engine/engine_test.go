@@ -12,6 +12,7 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -277,7 +278,7 @@ func TestEventsLifecycle(t *testing.T) {
 		Name: "events", Workloads: []string{"sparse"},
 		Variants: []Variant{{Key: "base", Config: sim.Config{Coherence: memSys()}}},
 		Customs: []Custom{{Workload: "sparse", Key: "extra",
-			Run: func(ctx context.Context) (any, error) { return 42, nil }}},
+			Run: func(ctx context.Context, src trace.Source) (any, error) { return 42, nil }}},
 	}
 	var evs []Event
 	for ev := range e.Stream(context.Background(), p) {

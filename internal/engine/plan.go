@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Plan is a declarative grid of simulations: the cross product of
@@ -32,9 +33,9 @@ type Plan struct {
 	Baseline string
 	// Customs are extra grid cells computed by arbitrary functions (e.g.
 	// the Fig. 8 decoupled-sectored study, which replaces the cache
-	// hierarchy entirely). They share the engine's worker pool and
-	// cancellation, but not the run store: memoization of custom cells is
-	// the caller's business.
+	// hierarchy entirely). They share the engine's worker pool, trace
+	// cache and cancellation, but not the run store: memoization of
+	// custom cells is the caller's business.
 	Customs []Custom
 	// Extra are explicit cells beyond the Workloads × Variants cross
 	// product — the form Merge emits so a combined grid keeps each
@@ -68,9 +69,12 @@ type Custom struct {
 	// Workload and Key are the cell's grid coordinates (Grid.Custom).
 	Workload string
 	Key      string
-	// Run computes the cell. It must honor ctx: return promptly with
-	// ctx.Err() once cancelled.
-	Run func(ctx context.Context) (any, error)
+	// Run computes the cell over src, the trace the engine resolves for
+	// Workload exactly as it does for a standard run: memo, then the
+	// store's trace tier, then the generator. The engine closes src after
+	// Run returns. Run must honor ctx: return promptly with ctx.Err()
+	// once cancelled.
+	Run func(ctx context.Context, src trace.Source) (any, error)
 }
 
 // WithVariant appends a variant built from key and cfg; it returns the

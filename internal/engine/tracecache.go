@@ -1,16 +1,21 @@
 package engine
 
 import (
+	"context"
+	"io"
 	"sync"
+	"time"
 	"unsafe"
 
 	"repro/internal/mem"
+	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// The engine serves every run's trace through a two-level cache:
+// The engine serves every run's trace, and every custom cell's, through
+// a two-level cache:
 //
 //  1. An in-memory memo (traceCache): the generated record slice, keyed
 //     by workload name. Every run an engine executes uses the same
@@ -19,7 +24,11 @@ import (
 //     from memory removes the generator (and its random-number stream)
 //     from all but the first run. The memo is byte-bounded, and entries
 //     are single-flight: concurrent workers requesting the same workload
-//     block until the first finishes generating.
+//     block until the first finishes generating. With a store attached,
+//     an entry also lives only while a queued or running cell of its
+//     workload holds it (hold/release): grids run their cells workload
+//     by workload (admission.go), so a figure holds two or three traces
+//     at a time, and any later run replays the disk tier.
 //
 //  2. A disk tier (with a store attached): generated traces are written
 //     through as content-addressed v2 files (store.ForTrace — workload
@@ -27,7 +36,9 @@ import (
 //     (trace.MappedSource) on any later miss of the memo — including in
 //     a fresh process, so a warm store means TraceGenerations == 0
 //     across restarts. Replay is zero-copy: blocks decode straight from
-//     the mapping into a per-run reused buffer.
+//     the mapping into a per-run reused buffer. Each replaying run maps
+//     the artifact itself and unmaps it when the run ends, so a
+//     long-lived engine holds no mapping between runs.
 //
 // Traces longer than the memo budget always stream from the generator
 // (so production-scale runs never bloat the daemon) but still replay
@@ -43,6 +54,10 @@ type traceCache struct {
 	used    int64
 	entries map[string]*traceEntry
 	order   []string
+	// holders counts each workload's queued and running cells when a
+	// store is attached (nil otherwise): the last release drops the
+	// workload's entry.
+	holders map[string]int
 }
 
 type traceEntry struct {
@@ -59,8 +74,53 @@ const recordBytes = int64(unsafe.Sizeof(trace.Record{}))
 // for a handful of default-length (2M-record) traces.
 const DefaultTraceCacheBytes = 256 << 20
 
-func newTraceCache(budget int64) *traceCache {
-	return &traceCache{budget: budget, entries: make(map[string]*traceEntry)}
+func newTraceCache(budget int64, transient bool) *traceCache {
+	tc := &traceCache{budget: budget, entries: make(map[string]*traceEntry)}
+	if transient {
+		tc.holders = make(map[string]int)
+	}
+	return tc
+}
+
+// hold registers a queued cell that will read name's trace.
+func (tc *traceCache) hold(name string) {
+	if tc == nil || tc.holders == nil {
+		return
+	}
+	tc.mu.Lock()
+	tc.holders[name]++
+	tc.mu.Unlock()
+}
+
+// release settles one holder of name's trace. The last one drops the
+// completed memo entry; an in-flight generation is left alone.
+func (tc *traceCache) release(name string) {
+	if tc == nil || tc.holders == nil {
+		return
+	}
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	if tc.holders[name]--; tc.holders[name] > 0 {
+		return
+	}
+	delete(tc.holders, name)
+	ent, ok := tc.entries[name]
+	if !ok {
+		return
+	}
+	select {
+	case <-ent.done:
+	default:
+		return
+	}
+	delete(tc.entries, name)
+	tc.used -= ent.size
+	for i, n := range tc.order {
+		if n == name {
+			tc.order = append(tc.order[:i], tc.order[i+1:]...)
+			break
+		}
+	}
 }
 
 // lookup reports the memo's state for name: a completed entry to
@@ -125,38 +185,52 @@ func (e *Engine) tierKey(name string) string {
 	return store.ForTrace(name, e.cfg.Workload)
 }
 
-// tierSource opens (or reuses) the mmap'd trace artifact for w and
-// returns a fresh zero-copy replay stream over it.
+// tierSource maps the trace artifact for w and returns a zero-copy
+// replay stream that owns the mapping: closing it unmaps the file.
 func (e *Engine) tierSource(w workload.Workload) (trace.Source, bool) {
 	st := e.cfg.Store
 	if st == nil {
 		return nil, false
 	}
-	key := e.tierKey(w.Name)
-	e.tierMu.Lock()
-	f, ok := e.tierFiles[key]
-	e.tierMu.Unlock()
+	f, ok := st.OpenTrace(e.tierKey(w.Name))
+	if ok && f.Info().CPUs != e.cfg.Workload.Canonical().CPUs {
+		// The decoder bounds each record's CPU by the header's count;
+		// only the run's own count keeps per-CPU state in range.
+		_ = f.Close()
+		ok = false
+	}
 	if !ok {
-		f, ok = st.OpenTrace(key)
-		if !ok {
-			e.tierMisses.Add(1)
-			return nil, false
-		}
-		e.tierMu.Lock()
-		if prev, exists := e.tierFiles[key]; exists {
-			// Another worker opened it first; keep one mapping.
-			_ = f.Close()
-			f = prev
-		} else {
-			if e.tierFiles == nil {
-				e.tierFiles = make(map[string]*trace.File)
-			}
-			e.tierFiles[key] = f
-		}
-		e.tierMu.Unlock()
+		e.tierMisses.Add(1)
+		return nil, false
 	}
 	e.tierHits.Add(1)
-	return f.NewSource(), true
+	return f.NewOwnedSource(), true
+}
+
+// openTrace resolves the trace of one cell (traceSource), counts a
+// generation when it ran the generator, and records the span. The caller
+// closes the source (closeSource) once the cell is done with it.
+func (e *Engine) openTrace(ctx context.Context, w workload.Workload) trace.Source {
+	t0 := time.Now()
+	src, generated := e.traceSource(w)
+	tr := obs.TracerFrom(ctx)
+	if generated {
+		e.generations.Add(1)
+		tr.Add("trace-generate", "engine", obs.TrackFrom(ctx), t0, time.Now())
+	} else {
+		// Memo/mmap replay: the source opens here in O(1); decode time
+		// lands inside the run span (and the sim phase spans).
+		tr.Add("trace-open", "engine", obs.TrackFrom(ctx), t0, time.Now())
+	}
+	return src
+}
+
+// closeSource releases what a cell's trace source holds: the mapping of
+// a disk-tier replay. Memo and generator sources hold nothing.
+func closeSource(src trace.Source) {
+	if c, ok := src.(io.Closer); ok {
+		_ = c.Close()
+	}
 }
 
 // generate runs the workload generator under the memo's single-flight

@@ -3,10 +3,14 @@ package engine
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/sim"
 	"repro/internal/store"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -119,5 +123,71 @@ func TestTraceTierServesOverBudgetTraces(t *testing.T) {
 	}
 	if got := tiny.TraceTierHits(); got != 2 {
 		t.Fatalf("trace tier hits = %d, want 2", got)
+	}
+}
+
+// TestTierArtifactCPUsBoundRecords: a tier artifact is served only when
+// its header's CPU count is the run's, and a record naming a CPU past
+// that count fails the run with the decoder's error instead of indexing
+// past the hierarchy's per-CPU state.
+func TestTierArtifactCPUsBoundRecords(t *testing.T) {
+	const name = "oltp-db2"
+	wcfg := workload.Config{CPUs: 2, Seed: 3, Length: 20_000}
+	w, err := workload.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := store.ForTrace(name, wcfg)
+	plan := tierPlan("cpus", "sms")
+
+	// A header claiming four CPUs is not served: the run generates.
+	st := openStore(t, t.TempDir())
+	hdr := trace.Header{CPUs: 4, Workload: name, WorkloadHash: key}
+	if err := st.PutTraceRecords(key, hdr, trace.Collect(w.Make(wcfg), 0)); err != nil {
+		t.Fatal(err)
+	}
+	e := New(Config{Workload: wcfg, Store: st})
+	grid, err := e.Execute(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, gens := e.TraceTierHits(), e.TraceGenerations(); hits != 0 || gens != 1 {
+		t.Fatalf("4-CPU artifact for a 2-CPU run: %d tier hits, %d generations; want 0, 1", hits, gens)
+	}
+	want, err := New(Config{Workload: wcfg}).Execute(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := json.Marshal(grid.Result(name, "sms"))
+	b, _ := json.Marshal(want.Result(name, "sms"))
+	if string(a) != string(b) {
+		t.Fatal("run beside a refused artifact differs from a generator-fed run")
+	}
+
+	// A record naming CPU 2, written under a 3-CPU header patched down
+	// to two CPUs.
+	dir := t.TempDir()
+	st = openStore(t, dir)
+	recs := trace.Collect(w.Make(wcfg), 0)
+	recs[len(recs)/2].CPU = 2
+	hdr.CPUs = 3
+	if err := st.PutTraceRecords(key, hdr, recs); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "traces", key[:2], key+".smst")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[8] = 2 // header CPU count, [8:12] little-endian
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e = New(Config{Workload: wcfg, Store: st})
+	if _, err := e.Execute(context.Background(), plan); !errors.Is(err, trace.ErrBadFormat) {
+		t.Fatalf("run over a record of CPU 2: err = %v, want ErrBadFormat", err)
+	}
+	if hits := e.TraceTierHits(); hits != 1 {
+		t.Fatalf("trace tier hits = %d, want 1", hits)
 	}
 }

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -9,7 +10,7 @@ import (
 	"repro/internal/sectored"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/workload"
+	"repro/internal/trace"
 )
 
 // TrainingStructure labels the Fig. 8 variants.
@@ -67,8 +68,8 @@ func Fig8Plan(o Options) engine.Plan {
 		p.Customs = append(p.Customs, engine.Custom{
 			Workload: name,
 			Key:      string(TrainDS),
-			Run: func(ctx context.Context) (any, error) {
-				return runDS(ctx, o, name, dsCfg)
+			Run: func(ctx context.Context, src trace.Source) (any, error) {
+				return runDS(ctx, src, o, dsCfg)
 			},
 		})
 	}
@@ -147,16 +148,13 @@ func dsCoverage(ds dsOutcome, base *sim.Result) sim.Coverage {
 	}
 }
 
-// runDS drives the decoupled sectored cache study. Cancellation is
-// checked once per progress interval, mirroring sim.Runner.RunContext.
-func runDS(ctx context.Context, o Options, name string, cfg sectored.Config) (dsOutcome, error) {
-	w, err := workload.ByName(name)
-	if err != nil {
-		return dsOutcome{}, err
-	}
-	src := w.Make(workload.Config{CPUs: o.CPUs, Seed: o.Seed, Length: o.Length})
+// runDS drives the decoupled sectored cache study over src, the trace
+// the engine resolved for the cell's workload. It drains src in
+// sim.DefaultBatchRecords batches; cancellation is checked once per
+// progress interval, mirroring sim.Runner.RunContext, and a latched
+// decode error fails the cell like it fails a standard run.
+func runDS(ctx context.Context, src trace.Source, o Options, cfg sectored.Config) (dsOutcome, error) {
 	warmup := o.Length / 2
-
 	ds := make([]*sectored.DecoupledSectored, o.CPUs)
 	for i := range ds {
 		ds[i] = sectored.MustNewDecoupledSectored(cfg)
@@ -169,39 +167,49 @@ func runDS(ctx context.Context, o Options, name string, cfg sectored.Config) (ds
 	warmOver := make([]uint64, o.CPUs)
 	snapshotted := false
 
+	bs := trace.Batched(src)
+	batch := make([]trace.Record, sim.DefaultBatchRecords)
 	for {
-		rec, ok := src.Next()
-		if !ok {
+		n := bs.NextBatch(batch)
+		if n == 0 {
 			break
 		}
-		processed++
+		for _, rec := range batch[:n] {
+			processed++
+			if !snapshotted && processed > warmup {
+				for i, d := range ds {
+					warmOver[i] = d.Overpredictions()
+				}
+				snapshotted = true
+			}
+			d := ds[rec.CPU]
+			res := d.Access(rec.PC, rec.Addr)
+			if processed > warmup && !rec.IsWrite() {
+				out.reads++
+				if !res.Hit {
+					out.readMisses++
+				}
+				if res.PrefetchHit {
+					out.covered++
+				}
+			}
+			for _, a := range d.NextStreamRequests(sim.DefaultStreamRate) {
+				d.Fill(a)
+			}
+		}
 		if processed >= next {
 			next = processed + sim.DefaultProgressInterval
 			if err := ctx.Err(); err != nil {
 				return dsOutcome{}, err
 			}
 		}
-		if !snapshotted && processed > warmup {
-			for i, d := range ds {
-				warmOver[i] = d.Overpredictions()
-			}
-			snapshotted = true
-		}
-		cpu := int(rec.CPU)
-		d := ds[cpu]
-		res := d.Access(rec.PC, rec.Addr)
-		warm := processed > warmup
-		if warm && !rec.IsWrite() {
-			out.reads++
-			if !res.Hit {
-				out.readMisses++
-			}
-			if res.PrefetchHit {
-				out.covered++
-			}
-		}
-		for _, a := range d.NextStreamRequests(sim.DefaultStreamRate) {
-			d.Fill(a)
+	}
+	if err := ctx.Err(); err != nil {
+		return dsOutcome{}, err
+	}
+	if e, ok := src.(interface{ Err() error }); ok {
+		if err := e.Err(); err != nil {
+			return dsOutcome{}, fmt.Errorf("exp: DS trace source failed mid-stream: %w", err)
 		}
 	}
 	for i, d := range ds {

@@ -2,12 +2,20 @@ package exp
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/sim"
+	"repro/internal/store"
+	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func TestSampledConfigScales(t *testing.T) {
@@ -149,5 +157,108 @@ func TestDSCoverageAgainstSampledBaseline(t *testing.T) {
 
 	if got := dsCoverage(ds, &sim.Result{Sampling: &sim.SamplingSummary{}}); got != (sim.Coverage{}) {
 		t.Fatalf("sampled baseline without misses: %+v, want zero", got)
+	}
+}
+
+// sampledFig8StoreSHA256 is the SHA-256 of the sampled Fig. 8 rendering,
+// DS rows included, at quick scale on a store: the bytes every figure
+// regeneration through the engine has produced, whatever order its cells
+// are admitted in and whichever trace cache serves them.
+const sampledFig8StoreSHA256 = "ccd9be7fc1998e8f09a0d3d7f006fa19b87330c43e7a11d2a7ec135d1ce67f6d"
+
+// TestSampledFig8OnStorePinned regenerates the sampled Fig. 8 on a cold
+// store, where every trace is generated once and replayed from the memo,
+// and again in a fresh session over the warm store, where the standard
+// cells are store hits and the DS cells replay the disk tier. Both render
+// the pinned bytes.
+func TestSampledFig8OnStorePinned(t *testing.T) {
+	o := QuickOptions()
+	o.Sampling = SampledConfig(o)
+	dir := t.TempDir()
+	for _, pass := range []string{"cold store", "warm store"} {
+		s := NewSession(o)
+		s.SetStore(openStore(t, dir))
+		res, err := Fig8(context.Background(), s)
+		if err != nil {
+			t.Fatalf("%s: %v", pass, err)
+		}
+		sum := sha256.Sum256([]byte(res.Render()))
+		if got := hex.EncodeToString(sum[:]); got != sampledFig8StoreSHA256 {
+			t.Errorf("%s: rendered sampled Fig. 8 SHA-256 %s, pinned %s\n%s", pass, got, sampledFig8StoreSHA256, res.Render())
+		}
+		if pass == "warm store" {
+			if g := s.Engine().TraceGenerations(); g != 0 {
+				t.Errorf("warm store: %d trace generations, want 0", g)
+			}
+			if h := s.Engine().TraceTierHits(); h != uint64(len(WorkloadNames())) {
+				t.Errorf("warm store: %d trace tier hits, want one per DS cell", h)
+			}
+		}
+	}
+}
+
+// TestDSCellFailsOnCorruptTierArtifact: a DS cell replays the engine's
+// trace, so a tier artifact that decodes to an error fails the cell with
+// that error instead of a silently short (or panicking) study: a block
+// whose record count disagrees with the index, and a record naming a CPU
+// past the header's count.
+func TestDSCellFailsOnCorruptTierArtifact(t *testing.T) {
+	o := Options{CPUs: 2, Seed: 1, Length: 30_000}
+	const name = "oltp-db2"
+	wcfg := workload.Config{CPUs: o.CPUs, Seed: o.Seed, Length: o.Length}
+	w, err := workload.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := store.ForTrace(name, wcfg)
+	for _, tc := range []struct {
+		name    string
+		cpus    int                  // the header's CPU count as written
+		records func([]trace.Record) // edits the records before writing
+		raw     func([]byte)         // edits the artifact's bytes
+	}{
+		// The first block's record count sits right after the header;
+		// the index still validates, so the damage shows only when it
+		// decodes.
+		{"block count", o.CPUs, func([]trace.Record) {}, func(raw []byte) { raw[66+len(name)] ^= 0x01 }},
+		// Written under a 3-CPU header, then patched down to 2 CPUs.
+		{"cpu out of range", o.CPUs + 1,
+			func(recs []trace.Record) { recs[len(recs)/2].CPU = uint8(o.CPUs) },
+			func(raw []byte) { raw[8] = byte(o.CPUs) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := openStore(t, t.TempDir())
+			recs := trace.Collect(w.Make(wcfg), 0)
+			tc.records(recs)
+			hdr := trace.Header{CPUs: tc.cpus, Workload: name, WorkloadHash: key}
+			if err := st.PutTraceRecords(key, hdr, recs); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(st.Dir(), "traces", key[:2], key+".smst")
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.raw(raw)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			s := NewSession(o)
+			s.SetStore(st)
+			var ds engine.Custom
+			for _, c := range Fig8Plan(s.Options()).Customs {
+				if c.Workload == name {
+					ds = c
+				}
+			}
+			_, err = s.Execute(context.Background(), engine.Plan{Name: "ds", Customs: []engine.Custom{ds}})
+			if !errors.Is(err, trace.ErrBadFormat) || !strings.Contains(err.Error(), "failed mid-stream") {
+				t.Fatalf("DS cell over a corrupt artifact: err = %v, want the latched decode error", err)
+			}
+			if h := s.Engine().TraceTierHits(); h != 1 {
+				t.Fatalf("trace tier hits = %d, want 1 (the DS cell replayed the artifact)", h)
+			}
+		})
 	}
 }

@@ -7,6 +7,7 @@ package exp
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -267,6 +268,44 @@ func TestAGTSizingShape(t *testing.T) {
 	}
 	if res.Render() == "" {
 		t.Error("empty render")
+	}
+}
+
+// TestFig13Shape guards the breakdown's claim: both bars describe the
+// same completed work (equal user busy time), normalized to the base
+// bar, so the SMS bar's smaller total is exactly the Fig. 12 speedup,
+// and SMS earns it by hiding off-chip read stalls. At quick scale
+// oltp-oracle's SMS bar reads more off-chip time than its base, so the
+// off-chip check covers the DSS, web and scientific groups, plus the
+// suite mean.
+func TestFig13Shape(t *testing.T) {
+	res, err := Fig12(context.Background(), quickSession(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const eps = 1e-9
+	var baseOff, smsOff float64
+	for _, r := range res.Rows {
+		if total := r.Base.Total(); math.Abs(total-1) > eps {
+			t.Errorf("%s: base total %.6f, want 1.000", r.Workload, total)
+		}
+		if got, want := r.SMS.Total(), 1/r.Speedup.Mean; math.Abs(got-want) > eps*want {
+			t.Errorf("%s: SMS total %.6f, want 1/speedup %.6f", r.Workload, got, want)
+		}
+		if math.Abs(r.SMS.UserBusy-r.Base.UserBusy) > eps {
+			t.Errorf("%s: user busy %.3f (SMS) vs %.3f (base): the bars do different work", r.Workload, r.SMS.UserBusy, r.Base.UserBusy)
+		}
+		if groupOf(r.Workload) != workload.GroupOLTP && r.SMS.OffChipRead >= r.Base.OffChipRead {
+			t.Errorf("%s: SMS off-chip read time %.3f not below the base's %.3f", r.Workload, r.SMS.OffChipRead, r.Base.OffChipRead)
+		}
+		baseOff += r.Base.OffChipRead
+		smsOff += r.SMS.OffChipRead
+	}
+	if smsOff >= baseOff {
+		t.Errorf("suite off-chip read time %.3f (SMS) not below %.3f (base)", smsOff, baseOff)
+	}
+	if out := res.RenderBreakdown(); !strings.Contains(out, "Figure 13") {
+		t.Errorf("breakdown render missing its title:\n%s", out)
 	}
 }
 

@@ -182,7 +182,8 @@ func TestStoreResultEndpoints(t *testing.T) {
 
 // TestStoreTraceEndpoints: a trace artifact generated on one daemon is
 // downloaded raw and uploaded to a second daemon's store, where it is
-// validated before publish; corrupt uploads never become visible.
+// validated before publish; corrupt uploads, and artifacts sent under a
+// key other than their own hash, never become visible.
 func TestStoreTraceEndpoints(t *testing.T) {
 	src := tinySession(t, t.TempDir())
 	_, srcTS := newTestServer(t, Config{Session: src, Workers: 2})
@@ -224,6 +225,15 @@ func TestStoreTraceEndpoints(t *testing.T) {
 	}
 	if dst.Store().HasTrace(key) {
 		t.Fatal("corrupt upload became visible in the store")
+	}
+	// A valid artifact under another workload's address is refused too:
+	// a trace is served only under its own content address.
+	foreign := strings.Repeat("ab", 32)
+	if code, body := putJSON(t, dstTS.URL+"/v1/store/traces/"+foreign, raw); code != http.StatusBadRequest {
+		t.Errorf("PUT trace under a foreign key: %d %q, want 400", code, body)
+	}
+	if dst.Store().HasTrace(foreign) {
+		t.Fatal("trace published under a key that is not its hash")
 	}
 	code, body = putJSON(t, dstURL, raw)
 	if code != http.StatusOK {

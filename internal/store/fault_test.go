@@ -197,7 +197,7 @@ func TestWriteAtomicityUnderInjectedCrashes(t *testing.T) {
 			victim.SetFault(fault.MustNew(fault.Plan{Rules: []fault.Rule{
 				{Site: "store.traces.rename", Kind: tc.rule.Kind, Frac: tc.rule.Frac},
 			}}))
-			if err := victim.PutTraceRecords(tkey, trace.Header{}, traceRecords(10)); !errors.Is(err, fault.ErrCrashed) {
+			if err := victim.PutTraceRecords(tkey, trace.Header{WorkloadHash: tkey}, traceRecords(10)); !errors.Is(err, fault.ErrCrashed) {
 				t.Fatalf("PutTraceRecords under %s = %v, want ErrCrashed", tc.name, err)
 			}
 			close(stop)
@@ -215,7 +215,7 @@ func TestWriteAtomicityUnderInjectedCrashes(t *testing.T) {
 			if err := victim.PutResult(key, res); err != nil {
 				t.Fatal(err)
 			}
-			if err := victim.PutTraceRecords(tkey, trace.Header{}, traceRecords(10)); err != nil {
+			if err := victim.PutTraceRecords(tkey, trace.Header{WorkloadHash: tkey}, traceRecords(10)); err != nil {
 				t.Fatal(err)
 			}
 			if got, ok := reader.GetResult(key); !ok || got.Accesses != res.Accesses {

@@ -72,8 +72,10 @@ func (s *Store) HasTrace(key string) bool {
 }
 
 // OpenTrace opens the trace stored at key for replay (mmap'd; see
-// trace.OpenFile). A missing or invalid artifact is a miss. The caller
-// owns the returned File and closes it when done replaying.
+// trace.OpenFile). A missing or invalid artifact is a miss, and so is
+// one whose header WorkloadHash is not key: a trace is served only under
+// its own content address. The caller owns the returned File and closes
+// it when done replaying.
 func (s *Store) OpenTrace(key string) (*trace.File, bool) {
 	if s.fault.Point("store.traces.read") != nil {
 		s.mu.Lock()
@@ -82,6 +84,10 @@ func (s *Store) OpenTrace(key string) (*trace.File, bool) {
 		return nil, false
 	}
 	f, err := trace.OpenFile(s.tracePath(key))
+	if err == nil && f.Info().WorkloadHash != key {
+		_ = f.Close()
+		err = fmt.Errorf("store: trace %s carries workload hash %q", key, f.Info().WorkloadHash)
+	}
 	if err != nil {
 		s.mu.Lock()
 		if !os.IsNotExist(err) {
@@ -213,11 +219,12 @@ func (s *Store) OpenTraceRaw(key string) (io.ReadCloser, int64, bool) {
 
 // PutTraceRaw atomically publishes artifact bytes streamed from another
 // node at key. The bytes are validated as a well-formed v2 trace
-// (header, index, CRC — trace.Stat) before the rename, so a truncated
-// or corrupted transfer never becomes visible; replays would otherwise
-// treat it as corruption, but rejecting it here keeps the tier's
-// "a key either exists or it doesn't" contract honest. Returns the
-// byte count written.
+// (header, index, CRC — trace.Stat) whose header WorkloadHash is key and
+// which declares its CPU count, before the rename, so a truncated or
+// corrupted transfer, or another workload's trace, never becomes
+// visible; replays would otherwise treat it as corruption, but rejecting
+// it here keeps the tier's "a key either exists or it doesn't" contract
+// honest. Returns the byte count written.
 func (s *Store) PutTraceRaw(key string, r io.Reader) (int64, error) {
 	path := s.tracePath(key)
 	dir := filepath.Dir(path)
@@ -247,9 +254,19 @@ func (s *Store) PutTraceRaw(key string, r io.Reader) (int64, error) {
 		os.Remove(f.Name())
 		return 0, fmt.Errorf("store: receiving trace %s: %w", key, err)
 	}
-	if _, err := trace.Stat(f.Name()); err != nil {
+	info, err := trace.Stat(f.Name())
+	if err != nil {
 		os.Remove(f.Name())
 		return 0, fmt.Errorf("store: received trace %s is not a valid artifact: %w", key, err)
+	}
+	if info.WorkloadHash != key {
+		os.Remove(f.Name())
+		return 0, fmt.Errorf("store: received trace %s carries workload hash %q, not its key", key, info.WorkloadHash)
+	}
+	if info.CPUs == 0 {
+		// Without a CPU count the decoder cannot bound records' CPUs.
+		os.Remove(f.Name())
+		return 0, fmt.Errorf("store: received trace %s declares no CPU count", key)
 	}
 	if err := os.Chmod(f.Name(), 0o644); err != nil {
 		os.Remove(f.Name())

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -139,5 +140,96 @@ func TestTraceSinkAbortLeavesNothing(t *testing.T) {
 	left, err := filepath.Glob(filepath.Join(dir, "traces", "*", "*"))
 	if err != nil || len(left) != 0 {
 		t.Fatalf("aborted sink left files: %v (%v)", left, err)
+	}
+}
+
+// v2Artifact encodes recs as the raw bytes of a v2 trace artifact whose
+// header carries hash and cpus, in blocks of 16 records.
+func v2Artifact(t testing.TB, hash string, cpus int, recs []trace.Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := trace.NewV2Writer(&buf, trace.Header{CPUs: cpus, Workload: "sparse", WorkloadHash: hash, BlockRecords: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestPutTraceRawRejectsForeignHash: an upload whose header names
+// another workload identity is refused and never published, so the tier
+// cannot replay one workload's trace as another's.
+func TestPutTraceRawRejectsForeignHash(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wcfg := workload.Config{CPUs: 2, Seed: 1, Length: 500}
+	key := ForTrace("oltp-oracle", wcfg)
+	foreign := v2Artifact(t, ForTrace("dss-q1", wcfg), 2, traceRecords(500))
+	if _, err := s.PutTraceRaw(key, bytes.NewReader(foreign)); err == nil {
+		t.Fatal("artifact of another workload accepted")
+	}
+	if s.HasTrace(key) {
+		t.Fatal("rejected artifact published")
+	}
+	if _, err := s.PutTraceRaw(key, bytes.NewReader(v2Artifact(t, key, 2, traceRecords(500)))); err != nil {
+		t.Fatalf("own artifact refused: %v", err)
+	}
+	f, ok := s.OpenTrace(key)
+	if !ok {
+		t.Fatal("accepted artifact does not open")
+	}
+	f.Close()
+}
+
+// TestPutTraceRawRejectsMissingCPUCount: an upload whose header declares
+// no CPU count is refused, since nothing would bound its records' CPUs.
+func TestPutTraceRawRejectsMissingCPUCount(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := ForTrace("sparse", workload.Config{CPUs: 2, Seed: 1, Length: 500})
+	if _, err := s.PutTraceRaw(key, bytes.NewReader(v2Artifact(t, key, 0, traceRecords(500)))); err == nil {
+		t.Fatal("artifact without a CPU count accepted")
+	}
+	if s.HasTrace(key) {
+		t.Fatal("rejected artifact published")
+	}
+}
+
+// TestOpenTraceQuarantinesForeignHash: an artifact that sits at a key
+// other than its header's hash (written locally, past PutTraceRaw) is
+// corrupt: it is quarantined and reported as a miss.
+func TestOpenTraceQuarantinesForeignHash(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wcfg := workload.Config{CPUs: 2, Seed: 1, Length: 500}
+	key := ForTrace("oltp-oracle", wcfg)
+	hdr := trace.Header{CPUs: 2, Workload: "dss-q1", WorkloadHash: ForTrace("dss-q1", wcfg)}
+	if err := s.PutTraceRecords(key, hdr, traceRecords(500)); err != nil {
+		t.Fatal(err)
+	}
+	if f, ok := s.OpenTrace(key); ok {
+		f.Close()
+		t.Fatal("trace served under another workload's key")
+	}
+	if s.HasTrace(key) {
+		t.Fatal("mismatched trace still addressable after quarantine")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "corrupt", kindTrace, key+".smst")); err != nil {
+		t.Fatalf("mismatched trace not quarantined: %v", err)
+	}
+	if st := s.Stats(); st.Corrupt != 1 || st.TraceMisses != 1 || st.TraceHits != 0 {
+		t.Fatalf("stats = %+v, want one corrupt miss", st)
 	}
 }

@@ -175,6 +175,17 @@ func (f *File) NewSource() BatchSource {
 	return newMappedSource(f.meta, f.data, nil)
 }
 
+// NewOwnedSource is NewSource for a file opened for a single replay: the
+// returned stream takes ownership of f, and closing it (io.Closer, a v2
+// *MappedSource) releases the mapping. A v1 file holds no mapping, so
+// its stream needs no close.
+func (f *File) NewOwnedSource() BatchSource {
+	if f.meta == nil {
+		return NewSliceSource(f.recs)
+	}
+	return newMappedSource(f.meta, f.data, f)
+}
+
 // Close releases the mapping. Sources created by NewSource must not be
 // used afterwards.
 func (f *File) Close() error {
@@ -278,7 +289,7 @@ func OpenMapped(path string) (*MappedSource, error) {
 		_ = f.Close()
 		return nil, fmt.Errorf("%w: %s is a v1 trace (convert it with smstrace convert)", ErrBadFormat, path)
 	}
-	return newMappedSource(f.meta, f.data, f), nil
+	return f.NewOwnedSource().(*MappedSource), nil
 }
 
 // Reset rewinds the source to the first record.

@@ -88,7 +88,9 @@ const (
 
 // Header is the self-describing v2 file header.
 type Header struct {
-	// CPUs is the trace's processor count (informative).
+	// CPUs is the trace's processor count (0 = unknown). When set,
+	// every record's CPU is below it: the writer refuses other records
+	// and the reader treats them as malformed.
 	CPUs int
 	// Geometry records the block/region geometry the capture assumed.
 	// The zero Geometry means unspecified.
@@ -244,6 +246,14 @@ func (tw *V2Writer) Count() uint64 { return tw.count }
 func (tw *V2Writer) flushBlock() error {
 	if len(tw.pending) == 0 {
 		return nil
+	}
+	if tw.hdr.CPUs > 0 {
+		for _, r := range tw.pending {
+			if int(r.CPU) >= tw.hdr.CPUs {
+				tw.err = fmt.Errorf("trace: record names CPU %d of a %d-CPU trace", r.CPU, tw.hdr.CPUs)
+				return tw.err
+			}
+		}
 	}
 	tw.colSeq, tw.colPC, tw.colAddr = tw.colSeq[:0], tw.colPC[:0], tw.colAddr[:0]
 	var prevSeq uint64
@@ -490,8 +500,10 @@ func parseV2(ra io.ReaderAt, size int64) (*v2meta, error) {
 }
 
 // decodeV2Block decodes one block's bytes into dst (cap(dst) must cover
-// the block's record count, which the caller takes from the index).
-func decodeV2Block(b []byte, want uint32, dst []Record) ([]Record, error) {
+// the block's record count, which the caller takes from the index). A
+// record naming a CPU outside the header's CPU count (when it has one)
+// is malformed: consumers index per-CPU state with it.
+func decodeV2Block(b []byte, want uint32, numCPUs int, dst []Record) ([]Record, error) {
 	if len(b) < v2BlockHeader {
 		return nil, fmt.Errorf("%w: %d-byte block", ErrBadFormat, len(b))
 	}
@@ -518,6 +530,13 @@ func decodeV2Block(b []byte, want uint32, dst []Record) ([]Record, error) {
 	p += lenAddr
 	cpus := b[p : p+n]
 	bitmap := b[p+n:]
+	if numCPUs > 0 {
+		for i, cpu := range cpus {
+			if int(cpu) >= numCPUs {
+				return nil, fmt.Errorf("%w: record %d names CPU %d of a %d-CPU trace", ErrBadFormat, i, cpu, numCPUs)
+			}
+		}
+	}
 
 	dst = dst[:n]
 	var seq uint64
@@ -625,7 +644,7 @@ func (c *v2cursor) advance() bool {
 		c.err = fmt.Errorf("trace: reading v2 block %d: %w", c.block, err)
 		return false
 	}
-	buf, err := decodeV2Block(raw, c.meta.blockCount[c.block], c.buf[:0])
+	buf, err := decodeV2Block(raw, c.meta.blockCount[c.block], c.meta.hdr.CPUs, c.buf[:0])
 	if err != nil {
 		c.err = fmt.Errorf("trace: decoding v2 block %d: %w", c.block, err)
 		return false

@@ -53,7 +53,7 @@ func wildRecords(n int, seed int64) []Record {
 func TestV2RoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 7, DefaultBlockRecords, DefaultBlockRecords + 1, 3*DefaultBlockRecords + 17} {
 		recs := wildRecords(n, int64(n)+1)
-		hdr := Header{CPUs: 8, Geometry: mem.DefaultGeometry(), Workload: "oltp-db2",
+		hdr := Header{CPUs: 256, Geometry: mem.DefaultGeometry(), Workload: "oltp-db2",
 			WorkloadHash: strings.Repeat("ab", 32)}
 		data := writeV2(t, hdr, recs)
 
@@ -74,7 +74,7 @@ func TestV2RoundTrip(t *testing.T) {
 			}
 		}
 		h := r.Header()
-		if h.Records != uint64(n) || h.CPUs != 8 || h.Workload != "oltp-db2" ||
+		if h.Records != uint64(n) || h.CPUs != 256 || h.Workload != "oltp-db2" ||
 			h.WorkloadHash != strings.Repeat("ab", 32) || h.Geometry != mem.DefaultGeometry() {
 			t.Fatalf("n=%d: header round trip: %+v", n, h)
 		}
@@ -204,7 +204,7 @@ func TestV2FileMappedReplay(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.smst")
 	recs := wildRecords(5000, 8)
-	raw := writeV2(t, Header{BlockRecords: 512, CPUs: 4}, recs)
+	raw := writeV2(t, Header{BlockRecords: 512, CPUs: 256}, recs)
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -372,6 +372,46 @@ func TestV2CorruptionWrapsErrors(t *testing.T) {
 	}
 	if err == nil || (!errors.Is(err, ErrBadFormat) && !errors.Is(err, io.ErrUnexpectedEOF)) {
 		t.Fatalf("corrupt block: %v", err)
+	}
+}
+
+// TestV2RecordCPUsBoundedByHeader: a header CPU count binds every
+// record. The writer refuses a record naming a CPU at or past it, and a
+// file whose CPU column does anyway (here, a header patched down after
+// writing) decodes to a latched ErrBadFormat, never to a record that
+// would index past a consumer's per-CPU state.
+func TestV2RecordCPUsBoundedByHeader(t *testing.T) {
+	recs := make([]Record, 100)
+	for i := range recs {
+		recs[i] = Record{Seq: uint64(i), PC: 0x400000, Addr: 1 << 30, CPU: uint8(i % 3)}
+	}
+	var buf bytes.Buffer
+	w, err := NewV2Writer(&buf, Header{CPUs: 2, BlockRecords: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = w.WriteBatch(recs)
+	if err == nil {
+		err = w.Close()
+	}
+	if err == nil || !strings.Contains(err.Error(), "CPU 2 of a 2-CPU trace") {
+		t.Fatalf("writer accepted CPU 2 under a 2-CPU header: %v", err)
+	}
+
+	data := writeV2(t, Header{CPUs: 3, BlockRecords: 16}, recs)
+	data[8] = 2 // header CPU count, [8:12] little-endian
+	r, err := NewV2Reader(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := Collect(r, 0)
+	if err := r.Err(); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("decoding CPU 2 under a 2-CPU header: err = %v, want ErrBadFormat", err)
+	}
+	for _, rec := range got {
+		if rec.CPU >= 2 {
+			t.Fatalf("decoder delivered %v", rec)
+		}
 	}
 }
 
