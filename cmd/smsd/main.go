@@ -15,6 +15,12 @@
 //	smsd -worker -coordinator http://...  worker: registers, heartbeats, and
 //	                                      executes cells for the coordinator
 //
+// Without -store, results are memoized in memory and a workload's trace
+// lives only while a run or grid that replays it is queued or running:
+// separate POST /v1/runs requests, and separate cells on a worker,
+// generate their trace again. With -store, traces persist in the store's
+// trace tier and later runs replay them.
+//
 // Every daemon in a cluster must be launched with the same simulation
 // options (-cpus/-seed/-length/-parallel/-quick); workers refuse cells
 // whose content address disagrees with their own and are quarantined.
@@ -91,7 +97,7 @@ type options struct {
 func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", ":8344", "listen address")
-	flag.StringVar(&o.storeDir, "store", "", "result store directory (empty: in-memory caching only)")
+	flag.StringVar(&o.storeDir, "store", "", "result and trace store directory (empty: results cached in memory only; each run generates its trace again unless a running grid or run shares it)")
 	flag.IntVar(&o.workers, "workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	flag.IntVar(&o.queue, "queue", server.DefaultQueue, "job queue bound (negative: no queueing)")
 	flag.IntVar(&o.cpus, "cpus", 4, "simulated processors")
@@ -207,7 +213,7 @@ func run(logger *slog.Logger, o options) error {
 		st.SetFault(inj)
 		logger.Info("result store attached", "dir", st.Dir())
 	} else {
-		logger.Info("no -store directory: results cached in memory only")
+		logger.Info("no -store directory: results cached in memory only; traces are not reused across runs")
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -12,8 +12,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -35,28 +37,46 @@ import (
 )
 
 func main() {
-	var (
-		name       = flag.String("workload", "oltp-db2", "workload name (see -list)")
-		list       = flag.Bool("list", false, "list workloads and exit")
-		prefetcher = flag.String("prefetcher", "none", "prefetcher name: "+strings.Join(sim.Names(), " | "))
-		cpus       = flag.Int("cpus", 4, "simulated processors")
-		seed       = flag.Int64("seed", 1, "workload seed")
-		length     = flag.Uint64("length", 1_200_000, "trace length in accesses (half warm-up)")
-		region     = flag.Int("region", mem.DefaultRegionSize, "spatial region size in bytes")
-		index      = flag.String("index", "PC+off", "SMS index: Addr | PC+addr | PC | PC+off")
-		pht        = flag.Int("pht", core.DefaultPHTEntries, "PHT entries (0 = unbounded)")
-		ghbEntries = flag.Int("ghb-entries", 256, "GHB history buffer entries")
-		storeDir   = flag.String("store", "", "persistent result store directory (shared with smsexp/smsd)")
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
-		traceOut   = flag.String("trace-out", "", "write run-phase spans as Chrome trace-event JSON (load via chrome://tracing or ui.perfetto.dev)")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-		sampleWindow   = flag.Uint64("sample-window", 0, "SMARTS sampling: detailed window length in records (0 = exact mode)")
-		sampleInterval = flag.Uint64("sample-interval", 0, "SMARTS sampling: records per interval (0 = 50x window)")
-		sampleWarmup   = flag.Uint64("sample-warmup", 0, "SMARTS sampling: functional-warming records before each window (0 = 4x window)")
-		confidence     = flag.Float64("confidence", 0, "SMARTS sampling: confidence level for reported intervals (0 = 0.95)")
+// run is the command body: it parses argv, simulates, prints the report
+// to stdout and returns the exit code (2 for a usage error, 1 for a
+// failed run).
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("smsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		name       = fs.String("workload", "oltp-db2", "workload name (see -list)")
+		list       = fs.Bool("list", false, "list workloads and exit")
+		prefetcher = fs.String("prefetcher", "none", "prefetcher name: "+strings.Join(sim.Names(), " | "))
+		cpus       = fs.Int("cpus", 4, "simulated processors")
+		seed       = fs.Int64("seed", 1, "workload seed")
+		length     = fs.Uint64("length", 1_200_000, "trace length in accesses (half warm-up)")
+		region     = fs.Int("region", mem.DefaultRegionSize, "spatial region size in bytes")
+		index      = fs.String("index", "PC+off", "SMS index: Addr | PC+addr | PC | PC+off")
+		pht        = fs.Int("pht", core.DefaultPHTEntries, "PHT entries (0 = unbounded)")
+		ghbEntries = fs.Int("ghb-entries", 256, "GHB history buffer entries")
+		storeDir   = fs.String("store", "", "persistent result store directory (shared with smsexp/smsd)")
+		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memProfile = fs.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
+		traceOut   = fs.String("trace-out", "", "write run-phase spans as Chrome trace-event JSON (load via chrome://tracing or ui.perfetto.dev)")
+
+		sampleWindow   = fs.Uint64("sample-window", 0, "SMARTS sampling: detailed window length in records (0 = exact mode)")
+		sampleInterval = fs.Uint64("sample-interval", 0, "SMARTS sampling: records per interval (0 = 50x window)")
+		sampleWarmup   = fs.Uint64("sample-warmup", 0, "SMARTS sampling: functional-warming records before each window (0 = 4x window)")
+		confidence     = fs.Float64("confidence", 0, "SMARTS sampling: confidence level for reported intervals (0 = 0.95)")
 	)
-	flag.Parse()
+	if err := fs.Parse(argv); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "smsim:", err)
+		return 1
+	}
 
 	// Profiling hooks: perf work on the simulator starts from a profile,
 	// not a guess (see README "Performance"). The CPU profile covers the
@@ -66,23 +86,23 @@ func main() {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 		defer func() {
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "smsim: writing heap profile:", err)
+				fmt.Fprintln(stderr, "smsim: writing heap profile:", err)
 			}
 			f.Close()
 		}()
@@ -90,22 +110,22 @@ func main() {
 
 	if *list {
 		for _, w := range workload.All() {
-			fmt.Printf("%-12s %-10s %s\n", w.Name, w.Group, w.Description)
+			fmt.Fprintf(stdout, "%-12s %-10s %s\n", w.Name, w.Group, w.Description)
 		}
-		return
+		return 0
 	}
 
 	w, err := workload.ByName(*name)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	idx, err := core.ParseIndexKind(*index)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	geo, err := mem.NewGeometry(mem.DefaultBlockSize, *region)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	phtEntries := *pht
 	if phtEntries == 0 {
@@ -127,7 +147,7 @@ func main() {
 		},
 	}
 	if err := cfg.Sampling.Validate(); err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	pfName := strings.ToLower(*prefetcher)
 	if pfName == "" {
@@ -142,7 +162,7 @@ func main() {
 	// through the engine's cancellation path.
 	session := exp.NewSession(opts)
 	if err := exp.AttachStore(session, *storeDir); err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
@@ -153,54 +173,54 @@ func main() {
 	}
 	res, err := session.Run(ctx, w.Name, cfg)
 	if err != nil {
-		fatal(err)
+		return fatal(err)
 	}
 	if tracer != nil {
 		if err := writeChromeTrace(*traceOut, tracer); err != nil {
-			fatal(err)
+			return fatal(err)
 		}
 	}
 
-	fmt.Printf("workload        %s (%s)\n", w.Name, w.Group)
-	fmt.Printf("prefetcher      %s\n", pfName)
+	fmt.Fprintf(stdout, "workload        %s (%s)\n", w.Name, w.Group)
+	fmt.Fprintf(stdout, "prefetcher      %s\n", pfName)
 	if session.Store() != nil {
 		state := "miss (simulated and stored)"
 		if session.Simulations() == 0 {
 			state = "hit (served from store)"
 		}
-		fmt.Printf("store           %s, key %s\n", state, session.RunKey(w.Name, cfg)[:12])
+		fmt.Fprintf(stdout, "store           %s, key %s\n", state, session.RunKey(w.Name, cfg)[:12])
 	}
-	fmt.Printf("accesses        %d (reads %d, writes %d)\n", res.Accesses, res.Reads, res.Writes)
-	fmt.Printf("L1 read misses  %d (%.2f%% of reads)\n", res.L1ReadMisses, 100*res.L1MissesPerAccess())
-	fmt.Printf("off-chip reads  %d (%.2f%% of reads)\n", res.OffChipReadMisses, 100*res.OffChipMissesPerAccess())
+	fmt.Fprintf(stdout, "accesses        %d (reads %d, writes %d)\n", res.Accesses, res.Reads, res.Writes)
+	fmt.Fprintf(stdout, "L1 read misses  %d (%.2f%% of reads)\n", res.L1ReadMisses, 100*res.L1MissesPerAccess())
+	fmt.Fprintf(stdout, "off-chip reads  %d (%.2f%% of reads)\n", res.OffChipReadMisses, 100*res.OffChipMissesPerAccess())
 	if s := res.Sampling; s != nil {
-		fmt.Printf("sampling        %d windows of %d records (interval %d, warmup %d), %.1f%% simulated\n",
+		fmt.Fprintf(stdout, "sampling        %d windows of %d records (interval %d, warmup %d), %.1f%% simulated\n",
 			s.Windows, s.Config.WindowRecords, s.Config.IntervalRecords, s.Config.WarmupRecords,
 			100*s.SimulatedFraction())
 		for _, m := range s.Metrics {
-			fmt.Printf("  %-32s %.5f ± %.5f (std %.5f) at %.0f%% confidence\n",
+			fmt.Fprintf(stdout, "  %-32s %.5f ± %.5f (std %.5f) at %.0f%% confidence\n",
 				m.Name, m.Mean, m.HalfWidth, m.StdDev, 100*s.Config.Confidence)
 		}
 	}
-	fmt.Printf("coherence       %d off-chip read misses (%d false sharing)\n", res.CoherenceReadMisses, res.FalseSharingReadMisses)
+	fmt.Fprintf(stdout, "coherence       %d off-chip read misses (%d false sharing)\n", res.CoherenceReadMisses, res.FalseSharingReadMisses)
 	if pfName != "none" {
-		fmt.Printf("covered L1      %d\n", res.L1CoveredMisses)
-		fmt.Printf("covered offchip %d\n", res.OffChipCoveredMisses)
-		fmt.Printf("streams issued  %d (overpredictions %d, %.1f%% of streams)\n",
+		fmt.Fprintf(stdout, "covered L1      %d\n", res.L1CoveredMisses)
+		fmt.Fprintf(stdout, "covered offchip %d\n", res.OffChipCoveredMisses)
+		fmt.Fprintf(stdout, "streams issued  %d (overpredictions %d, %.1f%% of streams)\n",
 			res.StreamRequests, res.Overpredictions, 100*stats.Ratio(res.Overpredictions, res.StreamRequests))
 	}
 	for cpu, st := range res.SMSStats {
-		fmt.Printf("SMS[cpu%d]       triggers=%d learned=%d predictions=%d pht-hit=%.1f%%\n",
+		fmt.Fprintf(stdout, "SMS[cpu%d]       triggers=%d learned=%d predictions=%d pht-hit=%.1f%%\n",
 			cpu, st.Triggers, st.PatternsLearned, st.Predictions,
 			100*stats.Ratio(st.PHT.Hits, st.PHT.Lookups))
 	}
 	if pfName == "sms" && *pht > 0 {
 		budget := core.PHTStorage(geo, *pht, core.DefaultPHTAssoc)
 		agt := core.AGTStorage(geo, core.DefaultFilterEntries, core.DefaultAccumEntries)
-		fmt.Printf("hardware budget per CPU: PHT %.1fKiB + AGT %.1fKiB\n", budget.KiB(), agt.KiB())
+		fmt.Fprintf(stdout, "hardware budget per CPU: PHT %.1fKiB + AGT %.1fKiB\n", budget.KiB(), agt.KiB())
 	}
 	for cpu, st := range res.GHBStats {
-		fmt.Printf("GHB[cpu%d]       trains=%d matches=%d prefetches=%d\n", cpu, st.Trains, st.Matches, st.Prefetches)
+		fmt.Fprintf(stdout, "GHB[cpu%d]       trains=%d matches=%d prefetches=%d\n", cpu, st.Trains, st.Matches, st.Prefetches)
 	}
 	for cpu, st := range res.PrefetcherStats {
 		// Rendered as JSON, normalized through a generic value (maps
@@ -214,16 +234,12 @@ func main() {
 					data = d
 				}
 			}
-			fmt.Printf("%s[cpu%d]  %s\n", pfName, cpu, data)
+			fmt.Fprintf(stdout, "%s[cpu%d]  %s\n", pfName, cpu, data)
 			continue
 		}
-		fmt.Printf("%s[cpu%d]  %+v\n", pfName, cpu, st)
+		fmt.Fprintf(stdout, "%s[cpu%d]  %+v\n", pfName, cpu, st)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "smsim:", err)
-	os.Exit(1)
+	return 0
 }
 
 // writeChromeTrace dumps the run's spans as Chrome trace-event JSON.

@@ -379,7 +379,7 @@ func (c *Coordinator) settleLocked(t *task, res *sim.Result, err error) {
 
 // assignLocked queues the task on its affinity worker (rendezvous
 // hashing over worker id × workload, so one workload's variants share
-// one worker's trace memo), avoiding exclude when any alternative
+// one worker's trace), avoiding exclude when any alternative
 // exists. Workers on probation receive new cells only when no healthy
 // worker remains — and even then the dispatch window clamps them to
 // one canary at a time. False means no live worker can take it.

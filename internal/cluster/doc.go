@@ -29,8 +29,10 @@
 //
 // Cells are scattered with workload affinity (rendezvous hashing on
 // worker id × workload name), so the variants of one workload land on
-// one worker and share its trace memo: a grid of N variants over one
-// workload generates the trace once per cluster, not once per cell.
+// one worker and share its trace: the worker's memo while cells of the
+// workload are in flight there, and its store's trace tier after, so a
+// grid of N variants over one workload generates the trace once per
+// cluster, not once per cell, when workers have stores.
 // Each worker has a bounded in-flight window (its registered capacity);
 // overflow queues on the coordinator per worker. A worker whose queue
 // drains and whose window has room steals the tail of the longest other

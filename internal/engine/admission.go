@@ -12,12 +12,12 @@ package engine
 // starts every cell at once instead, since the coordinator places
 // standard runs on its workers, not in local slots.
 //
-// The order also bounds the trace memo when a store is attached: each
-// queued or running cell holds its workload's memo entry
-// (traceCache.hold), and the entry is dropped as soon as the last holder
-// settles, since any later run replays the store's trace tier. A grid
-// therefore keeps two or three traces in memory at a time. Store-less
-// engines keep the budgeted memo.
+// The order also bounds the trace memo: each queued or running cell
+// holds its workload's memo entry (traceCache.hold), and the entry is
+// dropped as soon as the last holder settles. A grid therefore keeps two
+// or three traces in memory at a time. A later run of the workload
+// replays the store's trace tier when a store is attached, and
+// regenerates the trace otherwise.
 
 // gridCell is one cell of an executing plan: a deduplicated standard run
 // (n) or a custom cell (the index into Plan.Customs).

@@ -222,27 +222,54 @@ func TestStoreBackedExecuteReleasesTraces(t *testing.T) {
 	}
 }
 
-// TestStorelessEngineKeepsMemo: without a store there is no tier to fall
-// back to, so the budgeted memo keeps every workload's trace after the
-// grid.
-func TestStorelessEngineKeepsMemo(t *testing.T) {
+// TestStorelessEngineReleasesTraces: a store-less engine drops each
+// workload's trace once the grid's last cell of it settles, like a
+// store-backed one. A second grid over the same workloads therefore
+// generates each trace once more, with Results identical to a fresh
+// engine's.
+func TestStorelessEngineReleasesTraces(t *testing.T) {
 	e := tinyEngine(t, nil, 2)
 	p := admissionPlan()
 	if _, err := e.Execute(context.Background(), p); err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range p.Workloads {
-		if ent, completed, _ := e.traces.lookup(w); !completed || len(ent.recs) != 20_000 {
-			t.Errorf("memo lost %s", w)
+	checkReleased := func(when string) {
+		t.Helper()
+		e.traces.mu.Lock()
+		left, held := len(e.traces.entries), len(e.traces.holders)
+		e.traces.mu.Unlock()
+		if left != 0 || held != 0 {
+			t.Errorf("%s: trace memo still holds %d workloads, %d held by cells", when, left, held)
 		}
 	}
-	// A second grid over the same workloads replays the memo.
+	checkReleased("after the first grid")
+
 	again := Plan{Name: "again", Workloads: p.Workloads,
-		Variants: []Variant{{Key: "ghb", Config: sim.Config{Coherence: memSys(), PrefetcherName: "ghb"}}}}
-	if _, err := e.Execute(context.Background(), again); err != nil {
+		Variants: []Variant{
+			{Key: "ghb", Config: sim.Config{Coherence: memSys(), PrefetcherName: "ghb"}},
+			{Key: "stride", Config: sim.Config{Coherence: memSys(), PrefetcherName: "stride"}},
+		}}
+	grid, err := e.Execute(context.Background(), again)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := e.TraceGenerations(); got != 3 {
-		t.Errorf("trace generations = %d after replaying the memo, want 3", got)
+	if got := e.TraceGenerations(); got != 6 {
+		t.Errorf("trace generations = %d after two grids, want 6 (each workload once per grid)", got)
+	}
+	checkReleased("after the second grid")
+
+	fresh := tinyEngine(t, nil, 2)
+	want, err := fresh.Execute(context.Background(), again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range again.Workloads {
+		for _, v := range again.Variants {
+			a, _ := json.Marshal(grid.Result(w, v.Key))
+			b, _ := json.Marshal(want.Result(w, v.Key))
+			if string(a) != string(b) {
+				t.Errorf("regenerated %s/%s differs from a fresh engine's run", w, v.Key)
+			}
+		}
 	}
 }

@@ -14,6 +14,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -53,9 +54,10 @@ type Config struct {
 	// workload replay a byte-identical record sequence from memory
 	// instead of re-running the generator. 0 selects
 	// DefaultTraceCacheBytes; negative disables the memo. Traces longer
-	// than the budget always stream from the generator. With a Store
-	// attached, a workload's entry lives only while queued or running
-	// cells still need it (see admission.go).
+	// than the budget always stream from the generator. A workload's
+	// entry lives only while queued or running cells still need it (see
+	// admission.go); reuse across grids and bare runs needs a Store,
+	// whose trace tier later runs replay.
 	TraceCacheBytes int64
 }
 
@@ -119,9 +121,7 @@ func New(cfg Config) *Engine {
 		if budget == 0 {
 			budget = DefaultTraceCacheBytes
 		}
-		// With a store, later runs of a workload no cell still needs
-		// replay the trace tier instead of pinning the memo entry.
-		e.traces = newTraceCache(budget, cfg.Store != nil)
+		e.traces = newTraceCache(budget)
 	}
 	return e
 }
@@ -186,6 +186,18 @@ func (e *Engine) Key(workloadName string, cfg sim.Config) string {
 	return store.ForRun(workloadName, e.cfg.Workload, e.resolve(cfg))
 }
 
+// CheckCPUs refuses a run whose memory system has fewer CPUs than the
+// engine's workload configuration issues accesses from: the simulator
+// keeps per-CPU state for the memory system's count and indexes it with
+// each record's CPU. Run and Execute apply it before anything starts.
+func (e *Engine) CheckCPUs(cfg sim.Config) error {
+	sys, want := cfg.Canonical().Coherence.CPUs, e.cfg.Workload.Canonical().CPUs
+	if sys < want {
+		return fmt.Errorf("engine: the memory system has %d CPUs, fewer than the workload's %d", sys, want)
+	}
+	return nil
+}
+
 // Cached reports a run already available without simulating — memoized
 // in this engine or one store read away. The probe is cheap and does not
 // count toward store miss statistics.
@@ -213,6 +225,9 @@ func (e *Engine) Cached(workloadName string, cfg sim.Config) (*sim.Result, bool)
 // identity is simulated at most once per engine (and, with a store, at
 // most once ever). Events are delivered to the sink attached to ctx.
 func (e *Engine) Run(ctx context.Context, workloadName string, cfg sim.Config) (*sim.Result, error) {
+	if err := e.CheckCPUs(cfg); err != nil {
+		return nil, err
+	}
 	cfg = e.resolve(cfg)
 	key := store.ForRun(workloadName, e.cfg.Workload, cfg)
 	sink := eventSink(ctx)

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -422,5 +425,63 @@ func TestExtraCellsCompileAndDedupe(t *testing.T) {
 	}
 	if grid.Result("ocean", "x/base") == nil {
 		t.Error("extra-only workload missing")
+	}
+}
+
+// TestRunRefusesFewerCPUsThanWorkload: a run whose memory system has
+// fewer CPUs than the workload issues from fails before it starts, as a
+// bare run and as a plan cell, instead of indexing per-CPU state past
+// its end.
+func TestRunRefusesFewerCPUsThanWorkload(t *testing.T) {
+	e := New(Config{Workload: workload.Config{CPUs: 4, Seed: 1, Length: 4_000}, Parallel: 1})
+	cfg := sim.Config{Coherence: memSys()}
+	cfg.Coherence.CPUs = 2
+	if _, err := e.Run(context.Background(), "sparse", cfg); err == nil ||
+		!strings.Contains(err.Error(), "2 CPUs") || !strings.Contains(err.Error(), "4") {
+		t.Errorf("bare run: err = %v, want one naming both counts", err)
+	}
+	plan := Plan{Name: "few", Workloads: []string{"sparse"}, Variants: []Variant{{Key: "base", Config: cfg}}}
+	if _, err := e.Execute(context.Background(), plan); err == nil || !strings.Contains(err.Error(), "2 CPUs") {
+		t.Errorf("plan cell: err = %v, want the CPU refusal", err)
+	}
+	if n := e.Simulations(); n != 0 {
+		t.Errorf("%d simulations started, want 0", n)
+	}
+	// The default memory system (zero Coherence) has 4 CPUs: enough.
+	if _, err := e.Run(context.Background(), "sparse", sim.Config{}); err != nil {
+		t.Errorf("default memory system: %v", err)
+	}
+}
+
+// TestTraceFileWithMoreCPUsFailsRun: a trace: workload whose file
+// declares more CPUs than the engine's workload configuration fails the
+// run with an error naming both counts.
+func TestTraceFileWithMoreCPUsFailsRun(t *testing.T) {
+	w, err := workload.ByName("sparse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "eight.smst")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw, err := trace.NewV2Writer(f, trace.Header{CPUs: 8, Workload: "sparse"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.WriteBatch(trace.Collect(w.Make(workload.Config{CPUs: 8, Seed: 1, Length: 4_000}), 0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e := New(Config{Workload: workload.Config{CPUs: 4, Seed: 1, Length: 4_000}, Parallel: 1})
+	_, err = e.Run(context.Background(), workload.TracePrefix+path, sim.Config{})
+	if err == nil || !strings.Contains(err.Error(), "8 CPUs") || !strings.Contains(err.Error(), "4") {
+		t.Errorf("err = %v, want one naming both counts", err)
 	}
 }

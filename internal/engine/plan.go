@@ -193,7 +193,10 @@ func (e *Engine) compile(p Plan) (*compiled, error) {
 	}
 	c := &compiled{cells: make(map[cellRef]*node, len(p.Workloads)*len(p.Variants)+len(p.Extra))}
 	byKey := make(map[string]*node)
-	add := func(workload, cellKey string, cfg sim.Config) {
+	add := func(workload, cellKey string, cfg sim.Config) error {
+		if err := e.CheckCPUs(cfg); err != nil {
+			return fmt.Errorf("engine: plan %q cell %s/%s: %w", p.Name, workload, cellKey, err)
+		}
 		cfg = e.resolve(cfg)
 		key := e.Key(workload, cfg)
 		n, ok := byKey[key]
@@ -205,14 +208,19 @@ func (e *Engine) compile(p Plan) (*compiled, error) {
 		ref := cellRef{workload, cellKey}
 		n.cells = append(n.cells, ref)
 		c.cells[ref] = n
+		return nil
 	}
 	for _, w := range p.Workloads {
 		for _, v := range p.Variants {
-			add(w, v.Key, v.Config)
+			if err := add(w, v.Key, v.Config); err != nil {
+				return nil, err
+			}
 		}
 	}
 	for _, cell := range p.Extra {
-		add(cell.Workload, cell.Key, cell.Config)
+		if err := add(cell.Workload, cell.Key, cell.Config); err != nil {
+			return nil, err
+		}
 	}
 	return c, nil
 }

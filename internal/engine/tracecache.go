@@ -24,11 +24,13 @@ import (
 //     from memory removes the generator (and its random-number stream)
 //     from all but the first run. The memo is byte-bounded, and entries
 //     are single-flight: concurrent workers requesting the same workload
-//     block until the first finishes generating. With a store attached,
-//     an entry also lives only while a queued or running cell of its
-//     workload holds it (hold/release): grids run their cells workload
-//     by workload (admission.go), so a figure holds two or three traces
-//     at a time, and any later run replays the disk tier.
+//     block until the first finishes generating. An entry lives only
+//     while a queued or running cell of its workload holds it
+//     (hold/release): grids run their cells workload by workload
+//     (admission.go), so a figure holds two or three traces at a time.
+//     Reuse across grids and bare runs is the store's job: with one
+//     attached, a later run replays the disk tier; without one, it
+//     generates the trace again.
 //
 //  2. A disk tier (with a store attached): generated traces are written
 //     through as content-addressed v2 files (store.ForTrace — workload
@@ -54,9 +56,8 @@ type traceCache struct {
 	used    int64
 	entries map[string]*traceEntry
 	order   []string
-	// holders counts each workload's queued and running cells when a
-	// store is attached (nil otherwise): the last release drops the
-	// workload's entry.
+	// holders counts each workload's queued and running cells: the last
+	// release drops the workload's entry. Allocated by the first hold.
 	holders map[string]int
 }
 
@@ -74,20 +75,19 @@ const recordBytes = int64(unsafe.Sizeof(trace.Record{}))
 // for a handful of default-length (2M-record) traces.
 const DefaultTraceCacheBytes = 256 << 20
 
-func newTraceCache(budget int64, transient bool) *traceCache {
-	tc := &traceCache{budget: budget, entries: make(map[string]*traceEntry)}
-	if transient {
-		tc.holders = make(map[string]int)
-	}
-	return tc
+func newTraceCache(budget int64) *traceCache {
+	return &traceCache{budget: budget, entries: make(map[string]*traceEntry)}
 }
 
 // hold registers a queued cell that will read name's trace.
 func (tc *traceCache) hold(name string) {
-	if tc == nil || tc.holders == nil {
+	if tc == nil {
 		return
 	}
 	tc.mu.Lock()
+	if tc.holders == nil {
+		tc.holders = make(map[string]int)
+	}
 	tc.holders[name]++
 	tc.mu.Unlock()
 }
@@ -95,7 +95,7 @@ func (tc *traceCache) hold(name string) {
 // release settles one holder of name's trace. The last one drops the
 // completed memo entry; an in-flight generation is left alone.
 func (tc *traceCache) release(name string) {
-	if tc == nil || tc.holders == nil {
+	if tc == nil {
 		return
 	}
 	tc.mu.Lock()
@@ -317,10 +317,9 @@ func (e *Engine) persistTrace(name string, recs []trace.Record) {
 		return
 	}
 	hdr := trace.Header{
-		CPUs:         e.cfg.Workload.Canonical().CPUs,
-		Geometry:     mem.DefaultGeometry(),
-		Workload:     name,
-		WorkloadHash: key,
+		CPUs:     e.cfg.Workload.Canonical().CPUs,
+		Geometry: mem.DefaultGeometry(),
+		Workload: name,
 	}
 	_ = st.PutTraceRecords(key, hdr, recs)
 }

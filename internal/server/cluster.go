@@ -38,6 +38,20 @@ const (
 	maxTraceUploadBytes  = 4 << 30
 )
 
+// maxCellBytes bounds what one cell's simulator allocates up front,
+// summed over every CPU: L1 and L2 cache lines, LS sectors and the
+// entries of every sized prefetcher table (SMS and LS PHT, GHB history
+// and index, stride), each counted at the bytes below. Go cannot recover
+// from an allocation that fails, so an unbounded size would let one cell
+// end the daemon. The experiments allocate about 1.6 MiB per CPU; the
+// paper's Table 1 system (8 MiB L2 per CPU, 16 CPUs) about 53 MiB in all.
+const (
+	maxCellBytes    = 256 << 20
+	cellLineBytes   = 16  // a cache way's tag and meta words
+	cellSectorBytes = 144 // an LS sector and its key
+	cellEntryBytes  = 40  // the largest table entry: a PHT tag, LRU stamp and pattern
+)
+
 // validStoreKey gates the {key} path element: content addresses are
 // lowercase hex SHA-256, and anything else (path separators above all)
 // must never reach the store's file layout.
@@ -85,19 +99,9 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorDoc{Error: fmt.Sprintf("decoding cell: %v", err)})
 		return
 	}
-	if _, err := workload.ByName(req.Workload); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
-		return
-	}
-	// Recompute the cell's content address under this daemon's options.
-	// A mismatch means coordinator and worker would simulate different
-	// things for the same key — refuse loudly (409) so the coordinator
-	// quarantines us instead of poisoning its store.
-	key := s.session.RunKey(req.Workload, req.Config)
-	if req.Key != "" && req.Key != key {
-		writeJSON(w, http.StatusConflict, errorDoc{Error: fmt.Sprintf(
-			"cell key mismatch: coordinator says %.12s, this daemon computes %.12s (different -length/-seed/-cpus/-parallel options?)",
-			req.Key, key)})
+	key, status, err := s.checkCell(req)
+	if err != nil {
+		writeJSON(w, status, errorDoc{Error: err.Error()})
 		return
 	}
 
@@ -170,6 +174,55 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		s.metrics.failures.Inc()
 		writeJSON(w, http.StatusInternalServerError, errorDoc{Error: d.Error})
 	}
+}
+
+// checkCell validates a decoded cell request before anything runs and
+// returns the cell's key under this daemon's options, or the status to
+// refuse it with. The workload must exist. The key is recomputed: a
+// mismatch with the coordinator's means the two would simulate different
+// things for the same key — refused loudly (409) so the coordinator
+// quarantines us instead of poisoning its store. The memory system must
+// have a CPU for every CPU the workload issues from, and the cell must
+// fit maxCellBytes.
+func (s *Server) checkCell(req cluster.CellRequest) (string, int, error) {
+	if _, err := workload.ByName(req.Workload); err != nil {
+		return "", http.StatusBadRequest, err
+	}
+	key := s.session.RunKey(req.Workload, req.Config)
+	if req.Key != "" && req.Key != key {
+		return "", http.StatusConflict, fmt.Errorf(
+			"cell key mismatch: coordinator says %.12s, this daemon computes %.12s (different -length/-seed/-cpus/-parallel options?)",
+			req.Key, key)
+	}
+	if err := s.session.Engine().CheckCPUs(req.Config); err != nil {
+		return "", http.StatusBadRequest, err
+	}
+	if err := checkCellSize(req.Config.Canonical()); err != nil {
+		return "", http.StatusBadRequest, err
+	}
+	return key, http.StatusOK, nil
+}
+
+// checkCellSize refuses a canonical cell configuration whose up-front
+// allocation exceeds maxCellBytes.
+func checkCellSize(cfg sim.Config) error {
+	perCPU := 0
+	add := func(size, per, bytes int) {
+		if per > 0 {
+			perCPU += min(max(size/per, 0), maxCellBytes) * bytes
+		}
+	}
+	add(cfg.Coherence.L1.Size, cfg.Coherence.L1.BlockSize, cellLineBytes)
+	add(cfg.Coherence.L2.Size, cfg.Coherence.L2.BlockSize, cellLineBytes)
+	add(cfg.LS.CacheSize, cfg.Geometry.RegionSize(), cellSectorBytes)
+	for _, entries := range []int{cfg.SMS.PHTEntries, cfg.LS.PHTEntries, cfg.GHB.HistoryEntries, cfg.GHB.IndexEntries, cfg.Stride.Entries} {
+		add(entries, 1, cellEntryBytes)
+	}
+	if cpus := max(cfg.Coherence.CPUs, 1); perCPU > maxCellBytes/cpus {
+		return fmt.Errorf("cell allocates more than %d MiB up front (%d CPUs, %d MiB each)",
+			maxCellBytes>>20, cpus, perCPU>>20)
+	}
+	return nil
 }
 
 // pullTrace fetches one trace artifact from a peer's store plane into

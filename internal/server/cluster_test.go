@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/exp"
 	"repro/internal/sim"
 	"repro/internal/store"
 )
@@ -302,6 +303,97 @@ func TestCellEndpoint(t *testing.T) {
 	}
 	if code, _ := postJSON(t, ts.URL+"/v1/cells", `{broken`); code != http.StatusBadRequest {
 		t.Errorf("malformed body: %d, want 400", code)
+	}
+}
+
+// TestCellWithFewerCPUsRefused: a cell whose memory system has fewer
+// CPUs than the daemon's workload issues from is refused with 400 before
+// any job starts, and the daemon stays healthy and keeps serving cells.
+func TestCellWithFewerCPUsRefused(t *testing.T) {
+	sess := sessionWith(t, "", exp.Options{CPUs: 4, Seed: 1, Length: 4_000})
+	_, ts := newTestServer(t, Config{Session: sess, Workers: 1})
+
+	cfg := sess.Options().BaselineConfig()
+	cfg.Coherence.CPUs = 2
+	payload, err := json.Marshal(cluster.CellRequest{Workload: "sparse", Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, body := postJSON(t, ts.URL+"/v1/cells", string(payload))
+	if code != http.StatusBadRequest || !strings.Contains(body, "2 CPUs") {
+		t.Fatalf("2-CPU cell on a 4-CPU daemon: %d %q, want 400 naming the counts", code, body)
+	}
+	if n := sess.Simulations(); n != 0 {
+		t.Errorf("%d simulations started, want 0", n)
+	}
+	if code, body := get(t, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after the refusal: %d %q", code, body)
+	}
+	payload, _ = json.Marshal(cluster.CellRequest{Workload: "sparse", Config: sess.Options().BaselineConfig()})
+	if code, body := postJSON(t, ts.URL+"/v1/cells", string(payload)); code != http.StatusOK {
+		t.Fatalf("valid cell after the refusal: %d %q", code, body)
+	}
+}
+
+// TestOversizedCellRefused: a cell whose caches and prefetcher tables
+// would take more than maxCellBytes to simulate is refused with 400
+// before anything allocates them (a 1 TiB L2 or a 2^40-entry PHT ends
+// the process with a fatal out-of-memory), the daemon stays healthy, and
+// large cells inside the bound are still accepted.
+func TestOversizedCellRefused(t *testing.T) {
+	sess := sessionWith(t, "", exp.Options{CPUs: 4, Seed: 1, Length: 4_000})
+	srv, ts := newTestServer(t, Config{Session: sess, Workers: 1})
+
+	hugeL2 := sess.Options().BaselineConfig()
+	hugeL2.Coherence.L2.Size = 1 << 40
+	hugePHT := sess.Options().BaselineConfig()
+	hugePHT.PrefetcherName = "sms"
+	hugePHT.SMS.PHTEntries = 1 << 40
+	for name, cfg := range map[string]sim.Config{"1 TiB L2": hugeL2, "2^40-entry PHT": hugePHT} {
+		payload, err := json.Marshal(cluster.CellRequest{Workload: "sparse", Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, body := postJSON(t, ts.URL+"/v1/cells", string(payload))
+		if code != http.StatusBadRequest || !strings.Contains(body, "MiB up front") {
+			t.Errorf("%s: %d %q, want 400 naming the bound", name, code, body)
+		}
+	}
+	if n := sess.Simulations(); n != 0 {
+		t.Errorf("%d simulations started, want 0", n)
+	}
+	if code, body := get(t, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after the refusals: %d %q", code, body)
+	}
+
+	// On 4 CPUs each may allocate 64 MiB; the defaults take 1.6 MiB. A
+	// 128 MiB L2 (32 MiB of lines) fits and a 256 MiB one does not; at
+	// 1-byte blocks a 32 MiB L2 does not either. A 2^20-entry PHT (40
+	// MiB) fits and one twice that size does not.
+	for _, c := range []struct {
+		l2, block, pht int
+		want           int
+	}{
+		{128 << 20, 0, 0, http.StatusOK},
+		{256 << 20, 0, 0, http.StatusBadRequest},
+		{32 << 20, 0, 0, http.StatusOK},
+		{32 << 20, 1, 0, http.StatusBadRequest},
+		{0, 0, 1 << 20, http.StatusOK},
+		{0, 0, 2 << 20, http.StatusBadRequest},
+	} {
+		cfg := sess.Options().BaselineConfig()
+		cfg.PrefetcherName = "sms"
+		if c.l2 != 0 {
+			cfg.Coherence.L2.Size = c.l2
+		}
+		if c.block != 0 {
+			cfg.Coherence.L1.BlockSize = c.block
+			cfg.Coherence.L2.BlockSize = c.block
+		}
+		cfg.SMS.PHTEntries = c.pht
+		if _, status, err := srv.checkCell(cluster.CellRequest{Workload: "sparse", Config: cfg}); status != c.want {
+			t.Errorf("L2 %d B, block %d B, PHT %d entries on 4 CPUs: status %d (%v), want %d", c.l2, c.block, c.pht, status, err, c.want)
+		}
 	}
 }
 

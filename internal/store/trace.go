@@ -124,9 +124,18 @@ type TraceSink struct {
 }
 
 // BeginTrace starts writing the trace artifact for key. hdr should carry
-// the source workload's name and canonical hash (conventionally the key
-// itself) so the artifact is self-describing.
+// the source workload's name so the artifact is self-describing. Its
+// WorkloadHash is the key: an empty one is filled in, and a different
+// one is refused before any file is created, since OpenTrace serves an
+// artifact only under its own hash.
 func (s *Store) BeginTrace(key string, hdr trace.Header) (*TraceSink, error) {
+	switch hdr.WorkloadHash {
+	case "":
+		hdr.WorkloadHash = key
+	case key:
+	default:
+		return nil, fmt.Errorf("store: trace %s: header carries workload hash %q", key, hdr.WorkloadHash)
+	}
 	dir := filepath.Dir(s.tracePath(key))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)

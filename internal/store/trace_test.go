@@ -216,7 +216,27 @@ func TestOpenTraceQuarantinesForeignHash(t *testing.T) {
 	wcfg := workload.Config{CPUs: 2, Seed: 1, Length: 500}
 	key := ForTrace("oltp-oracle", wcfg)
 	hdr := trace.Header{CPUs: 2, Workload: "dss-q1", WorkloadHash: ForTrace("dss-q1", wcfg)}
-	if err := s.PutTraceRecords(key, hdr, traceRecords(500)); err != nil {
+	// The store writes no such artifact itself (TestBeginTraceBindsHashToKey),
+	// so place one at the tier path the way a foreign copy would land.
+	path := s.tracePath(key)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := trace.NewV2Writer(f, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteBatch(traceRecords(500)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if f, ok := s.OpenTrace(key); ok {
@@ -231,5 +251,40 @@ func TestOpenTraceQuarantinesForeignHash(t *testing.T) {
 	}
 	if st := s.Stats(); st.Corrupt != 1 || st.TraceMisses != 1 || st.TraceHits != 0 {
 		t.Fatalf("stats = %+v, want one corrupt miss", st)
+	}
+}
+
+// TestBeginTraceBindsHashToKey: an artifact's header carries its key as
+// the workload hash. An empty hash is filled in, so the artifact is
+// served; a different one is refused before any file is created.
+func TestBeginTraceBindsHashToKey(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wcfg := workload.Config{CPUs: 2, Seed: 1, Length: 500}
+	key := ForTrace("oltp-oracle", wcfg)
+	foreign := trace.Header{CPUs: 2, Workload: "dss-q1", WorkloadHash: ForTrace("dss-q1", wcfg)}
+	if err := s.PutTraceRecords(key, foreign, traceRecords(500)); err == nil {
+		t.Fatal("foreign workload hash accepted")
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, kindTrace, "*", "*")); len(left) != 0 {
+		t.Fatalf("refused write left files behind: %v", left)
+	}
+
+	if err := s.PutTraceRecords(key, trace.Header{CPUs: 2, Workload: "oltp-oracle"}, traceRecords(500)); err != nil {
+		t.Fatal(err)
+	}
+	f, ok := s.OpenTrace(key)
+	if !ok {
+		t.Fatal("artifact written without a hash is not served")
+	}
+	defer f.Close()
+	if got := f.Info().WorkloadHash; got != key {
+		t.Fatalf("header workload hash = %q, want the key", got)
+	}
+	if st := s.Stats(); st.Corrupt != 0 || st.TraceHits != 1 {
+		t.Fatalf("stats = %+v, want one clean hit", st)
 	}
 }

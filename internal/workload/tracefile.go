@@ -100,17 +100,83 @@ func traceWorkload(name string, f *trace.File) Workload {
 		Description: desc,
 		External:    true,
 		Make: func(cfg Config) trace.Source {
-			src := f.NewSource()
-			// The trace is what it is: CPUs, seed and scale do not
-			// apply. Length only caps the replay — shorter files simply
-			// exhaust early, like a generator asked for fewer records
-			// than Config.Length would imply.
+			// The trace is what it is: seed and scale do not apply.
+			// CPUs bounds the records the run can simulate, since the
+			// simulator keeps per-CPU state for that many: a file that
+			// declares more fails the run before any record, and one
+			// that declares no count (v1, or a v2 header's 0) ends at
+			// its first record naming a CPU out of range. Length only
+			// caps the replay —
+			// shorter files simply exhaust early, like a generator asked
+			// for fewer records than Config.Length would imply.
+			cpus := cfg.Canonical().CPUs
+			if info.CPUs > cpus {
+				return &failedSource{fmt.Errorf("workload: %s declares %d CPUs, more than the run's %d", name, info.CPUs, cpus)}
+			}
+			plain := f.NewSource()
+			var src trace.Source = plain
+			if info.CPUs == 0 {
+				src = &cpuCheckedSource{src: plain, name: name, cpus: cpus}
+			}
 			if cfg.Length > 0 && cfg.Length < info.Records {
 				return trace.Limit(src, cfg.Length)
 			}
 			return src
 		},
 	}
+}
+
+// failedSource yields no record and reports why.
+type failedSource struct{ err error }
+
+func (s *failedSource) Next() (trace.Record, bool) { return trace.Record{}, false }
+func (s *failedSource) Err() error                 { return s.err }
+
+// cpuCheckedSource replays a trace whose header declares no CPU count.
+// It ends the stream at the first record naming a CPU of cpus or more,
+// and latches an error naming it.
+type cpuCheckedSource struct {
+	src  trace.BatchSource
+	name string
+	cpus int
+	n    uint64 // records delivered
+	err  error
+}
+
+func (s *cpuCheckedSource) Next() (trace.Record, bool) {
+	var one [1]trace.Record
+	if s.NextBatch(one[:]) == 0 {
+		return trace.Record{}, false
+	}
+	return one[0], true
+}
+
+// NextBatch implements trace.BatchSource.
+func (s *cpuCheckedSource) NextBatch(dst []trace.Record) int {
+	if s.err != nil {
+		return 0
+	}
+	n := s.src.NextBatch(dst)
+	for i, r := range dst[:n] {
+		if int(r.CPU) >= s.cpus {
+			s.err = fmt.Errorf("workload: %s: record %d names CPU %d, but the run has %d CPUs", s.name, s.n+uint64(i), r.CPU, s.cpus)
+			n = i
+			break
+		}
+	}
+	s.n += uint64(n)
+	return n
+}
+
+// Err reports the out-of-range record, or the underlying source's error.
+func (s *cpuCheckedSource) Err() error {
+	if s.err != nil {
+		return s.err
+	}
+	if e, ok := s.src.(interface{ Err() error }); ok {
+		return e.Err()
+	}
+	return nil
 }
 
 // OpenTraceWorkload opens the trace file at path and returns its

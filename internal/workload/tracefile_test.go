@@ -2,8 +2,11 @@ package workload
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -135,5 +138,75 @@ func TestTraceWorkloadErrors(t *testing.T) {
 	}
 	if _, err := ByName("trace:" + bad); !errors.Is(err, trace.ErrBadFormat) {
 		t.Errorf("garbage file error = %v, want ErrBadFormat", err)
+	}
+}
+
+// sourceErr returns the error a source latched, if it reports one.
+func sourceErr(src trace.Source) error {
+	if e, ok := src.(interface{ Err() error }); ok {
+		return e.Err()
+	}
+	return nil
+}
+
+// TestTraceWorkloadBoundsCPUs: a replay never hands the simulator a
+// record naming a CPU the run does not have. A file whose header
+// declares more CPUs than the run yields nothing and an error naming
+// both counts; a v1 file, which declares none, ends at its first record
+// out of range with an error naming it.
+func TestTraceWorkloadBoundsCPUs(t *testing.T) {
+	path, recs := captureV2(t, "sparse", Config{CPUs: 8, Seed: 1, Length: 4_000})
+	w, err := ByName(TracePrefix + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := w.Make(Config{CPUs: 4})
+	if n := len(trace.Collect(src, 0)); n != 0 {
+		t.Errorf("8-CPU file on a 4-CPU run replayed %d records, want 0", n)
+	}
+	if err := sourceErr(src); err == nil || !strings.Contains(err.Error(), "8 CPUs") || !strings.Contains(err.Error(), "4") {
+		t.Errorf("8-CPU file on a 4-CPU run: err = %v, want one naming both counts", err)
+	}
+
+	v1 := filepath.Join(t.TempDir(), "v1.smst")
+	f, err := os.Create(v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw, err := trace.NewWriter(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := tw.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	first := slices.IndexFunc(recs, func(r trace.Record) bool { return r.CPU >= 4 })
+	if first < 0 {
+		t.Fatal("the 8-CPU capture names no CPU above 3")
+	}
+	w1, err := ByName(TracePrefix + v1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src = w1.Make(Config{CPUs: 4})
+	got := trace.Collect(src, 0)
+	if len(got) != first || !slices.Equal(got, recs[:first]) {
+		t.Errorf("v1 replay on a 4-CPU run yielded %d records, want the %d before the first out of range", len(got), first)
+	}
+	if err := sourceErr(src); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("record %d", first)) {
+		t.Errorf("v1 replay on a 4-CPU run: err = %v, want one naming record %d", err, first)
+	}
+	// With enough CPUs, the same file replays in full.
+	src = w1.Make(Config{CPUs: 8})
+	if got := trace.Collect(src, 0); !slices.Equal(got, recs) || sourceErr(src) != nil {
+		t.Errorf("v1 replay on an 8-CPU run: %d records, err %v", len(got), sourceErr(src))
 	}
 }
