@@ -82,32 +82,33 @@ bench-layers:
 bench-record:
 	./scripts/bench.sh BENCH_after.json
 
-# Short fuzz pass over both trace decoders, smsd's journal replay, its
-# /v1/runs and /v1/cells request validation, fault-plan parsing and the
-# store's trace upload: corrupt/truncated input must return wrapped
-# errors (ErrBadFormat, io.ErrUnexpectedEOF, "fault: ...") or be
-# truncated away, an accepted run request or cell must simulate, an
-# accepted trace must replay in full or latch an error, and nothing may
-# panic. Go runs one fuzz
-# target per invocation.
-fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzReaderV1$$' -fuzztime 5s ./internal/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzReaderV2$$' -fuzztime 5s ./internal/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 5s ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime 5s ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzCellRequest$$' -fuzztime 5s ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzFaultLoad$$' -fuzztime 5s ./internal/fault
-	$(GO) test -run '^$$' -fuzz '^FuzzPutTraceRaw$$' -fuzztime 5s ./internal/store
+# The fuzz targets, as package:Target. Every one guards an input the
+# binaries accept from outside: both trace decoders, smsd's journal
+# replay, its /v1/runs and /v1/cells request validation, fault-plan
+# parsing and the store's trace upload. Corrupt/truncated input must
+# return wrapped errors (ErrBadFormat, io.ErrUnexpectedEOF, "fault: ...")
+# or be truncated away, an accepted run request or cell must simulate,
+# an accepted trace must replay in full or latch an error, and nothing
+# may panic.
+FUZZ_TARGETS = \
+	./internal/trace:FuzzReaderV1 \
+	./internal/trace:FuzzReaderV2 \
+	./internal/server:FuzzJournalReplay \
+	./internal/server:FuzzRunRequest \
+	./internal/server:FuzzCellRequest \
+	./internal/fault:FuzzFaultLoad \
+	./internal/store:FuzzPutTraceRaw
 
-# The nightly workflow's longer fuzz pass.
-fuzz-nightly:
-	$(GO) test -run '^$$' -fuzz '^FuzzReaderV1$$' -fuzztime 60s ./internal/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzReaderV2$$' -fuzztime 60s ./internal/trace
-	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 60s ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzRunRequest$$' -fuzztime 60s ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzCellRequest$$' -fuzztime 60s ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzFaultLoad$$' -fuzztime 60s ./internal/fault
-	$(GO) test -run '^$$' -fuzz '^FuzzPutTraceRaw$$' -fuzztime 60s ./internal/store
+# fuzz-smoke is CI's short pass, fuzz-nightly the nightly workflow's
+# longer one. Go runs one fuzz target per invocation.
+fuzz-smoke: FUZZTIME = 5s
+fuzz-nightly: FUZZTIME = 60s
+fuzz-smoke fuzz-nightly:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		echo "fuzz $$name in $$pkg for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) $$pkg; \
+	done
 
 # End-to-end daemon smoke: start smsd, submit a job, poll it to
 # completion, cancel a second one.

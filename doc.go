@@ -38,7 +38,7 @@
 // Prefetchers are pluggable: the simulator dispatches through the
 // sim.Prefetcher interface, and schemes are selected by registry name
 // ("none", "sms", "ls", "ghb", "stride", "nextline", ...) via
-// sim.Config.PrefetcherName or sim.New. New schemes call sim.Register
+// sim.Config.PrefetcherName (sim.NewRunner). New schemes call sim.Register
 // from their package init and need no simulator changes; see README.md.
 //
 // See README.md for a tour and EXPERIMENTS.md for paper-vs-measured

@@ -49,16 +49,6 @@ type Config struct {
 	// ProgressInterval is the record count between progress events and
 	// cancellation checks inside a run (0 = sim.DefaultProgressInterval).
 	ProgressInterval uint64
-	// TraceCacheBytes bounds the in-memory trace memo: every run in a
-	// grid uses the same workload configuration, so variants of one
-	// workload replay a byte-identical record sequence from memory
-	// instead of re-running the generator. 0 selects
-	// DefaultTraceCacheBytes; negative disables the memo. Traces longer
-	// than the budget always stream from the generator. A workload's
-	// entry lives only while queued or running cells still need it (see
-	// admission.go); reuse across grids and bare runs needs a Store,
-	// whose trace tier later runs replay.
-	TraceCacheBytes int64
 }
 
 // Engine executes simulation runs and plans with memoization: any run
@@ -71,7 +61,7 @@ type Engine struct {
 	sem    chan struct{}
 	sched  CellScheduler   // where cells execute; localScheduler by default
 	fault  *fault.Injector // chaos injector; nil in production
-	traces *traceCache     // nil when disabled
+	traces traceCache      // the in-memory trace memo (tracecache.go)
 
 	mu    sync.Mutex
 	memo  map[string]*entry
@@ -111,18 +101,12 @@ func New(cfg Config) *Engine {
 		cfg.Parallel = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{
-		cfg:  cfg,
-		sem:  make(chan struct{}, cfg.Parallel),
-		memo: make(map[string]*entry),
+		cfg:    cfg,
+		sem:    make(chan struct{}, cfg.Parallel),
+		traces: traceCache{budget: traceMemoBytes},
+		memo:   make(map[string]*entry),
 	}
 	e.sched = localScheduler{e}
-	if cfg.TraceCacheBytes >= 0 {
-		budget := cfg.TraceCacheBytes
-		if budget == 0 {
-			budget = DefaultTraceCacheBytes
-		}
-		e.traces = newTraceCache(budget)
-	}
 	return e
 }
 

@@ -51,9 +51,11 @@ import (
 // Trace-file workloads (workload.External, the trace: family) are
 // already file replays; they bypass both levels.
 type traceCache struct {
-	mu      sync.Mutex
-	budget  int64
-	used    int64
+	mu     sync.Mutex
+	budget int64
+	used   int64
+	// entries holds each workload's generated trace, or its generation
+	// in flight. Allocated by the first generate.
 	entries map[string]*traceEntry
 	order   []string
 	// holders counts each workload's queued and running cells: the last
@@ -71,19 +73,12 @@ type traceEntry struct {
 // recordBytes is the in-memory footprint of one trace.Record.
 const recordBytes = int64(unsafe.Sizeof(trace.Record{}))
 
-// DefaultTraceCacheBytes bounds the engine's in-memory trace memo: room
+// traceMemoBytes bounds every engine's in-memory trace memo: room
 // for a handful of default-length (2M-record) traces.
-const DefaultTraceCacheBytes = 256 << 20
-
-func newTraceCache(budget int64) *traceCache {
-	return &traceCache{budget: budget, entries: make(map[string]*traceEntry)}
-}
+const traceMemoBytes = 256 << 20
 
 // hold registers a queued cell that will read name's trace.
 func (tc *traceCache) hold(name string) {
-	if tc == nil {
-		return
-	}
 	tc.mu.Lock()
 	if tc.holders == nil {
 		tc.holders = make(map[string]int)
@@ -95,9 +90,6 @@ func (tc *traceCache) hold(name string) {
 // release settles one holder of name's trace. The last one drops the
 // completed memo entry; an in-flight generation is left alone.
 func (tc *traceCache) release(name string) {
-	if tc == nil {
-		return
-	}
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	if tc.holders[name]--; tc.holders[name] > 0 {
@@ -128,9 +120,6 @@ func (tc *traceCache) release(name string) {
 // generate) instead of probing the disk tier — probing while the
 // leader generates would count one logical miss once per worker.
 func (tc *traceCache) lookup(name string) (ent *traceEntry, completed, inflight bool) {
-	if tc == nil {
-		return nil, false, false
-	}
 	tc.mu.Lock()
 	ent, ok := tc.entries[name]
 	tc.mu.Unlock()
@@ -147,7 +136,7 @@ func (tc *traceCache) lookup(name string) (ent *traceEntry, completed, inflight 
 
 // fits reports whether a trace of the given record count is admissible.
 func (tc *traceCache) fits(length uint64) bool {
-	return tc != nil && length <= uint64(tc.budget/recordBytes)
+	return length <= uint64(tc.budget/recordBytes)
 }
 
 // traceSource returns a trace source for the workload of one run, and
@@ -237,7 +226,7 @@ func closeSource(src trace.Source) {
 // lock, captures the trace in memory, and writes it through to the disk
 // tier (best effort) so later processes replay instead of regenerating.
 func (e *Engine) generate(w workload.Workload, cfg workload.Config) (trace.Source, bool) {
-	tc := e.traces
+	tc := &e.traces
 	tc.mu.Lock()
 	if ent, ok := tc.entries[w.Name]; ok {
 		tc.mu.Unlock()
@@ -248,6 +237,9 @@ func (e *Engine) generate(w workload.Workload, cfg workload.Config) (trace.Sourc
 		return w.Make(cfg), true
 	}
 	ent := &traceEntry{done: make(chan struct{})}
+	if tc.entries == nil {
+		tc.entries = make(map[string]*traceEntry)
+	}
 	tc.entries[w.Name] = ent
 	tc.mu.Unlock()
 

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"sync"
 	"testing"
 
@@ -38,26 +40,30 @@ func TestTraceMemoGeneratesOncePerWorkload(t *testing.T) {
 		t.Fatalf("trace generations = %d, want %d (one per workload)", got, want)
 	}
 
-	// The memo must not change any result: compare against an engine
-	// with the memo disabled.
-	plain := New(Config{Workload: wcfg, TraceCacheBytes: -1})
-	grid2, err := plain.Execute(context.Background(), plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := plain.TraceGenerations(), uint64(6); got != want {
-		t.Fatalf("memo-disabled trace generations = %d, want %d", got, want)
-	}
+	// The memo must not change any result: compare against a runner fed
+	// straight from each workload's generator.
 	for _, wl := range plan.Workloads {
+		w, err := workload.ByName(wl)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, v := range plan.Variants {
-			a := grid.Result(wl, v.Key)
-			b := grid2.Result(wl, v.Key)
-			if a == nil || b == nil {
-				t.Fatalf("missing cell %s/%s (memo %v, plain %v)", wl, v.Key, a != nil, b != nil)
+			cfg := v.Config
+			cfg.WarmupAccesses = wcfg.Length / 2
+			runner, err := sim.NewRunner(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if a.L1ReadMisses != b.L1ReadMisses || a.Accesses != b.Accesses ||
-				a.OffChipReadMisses != b.OffChipReadMisses || a.StreamRequests != b.StreamRequests {
-				t.Fatalf("memoized trace changed results for %s/%s:\n memo  %+v\n plain %+v", wl, v.Key, a, b)
+			want, err := json.Marshal(runner.Run(w.Make(wcfg)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(grid.Result(wl, v.Key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("memoized trace changed the result of %s/%s:\n memo      %s\n generator %s", wl, v.Key, got, want)
 			}
 		}
 	}
@@ -68,7 +74,8 @@ func TestTraceMemoGeneratesOncePerWorkload(t *testing.T) {
 func TestTraceMemoBudget(t *testing.T) {
 	wcfg := workload.Config{CPUs: 2, Seed: 5, Length: 20_000}
 	size := int64(wcfg.Canonical().Length) * recordBytes
-	e := New(Config{Workload: wcfg, TraceCacheBytes: size - 1})
+	e := New(Config{Workload: wcfg})
+	e.traces.budget = size - 1
 	plan := Plan{
 		Name:      "over-budget",
 		Workloads: []string{"oltp-db2"},

@@ -114,7 +114,8 @@ func TestTraceTierServesOverBudgetTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A one-record memo budget: every trace is over budget.
-	tiny := New(Config{Workload: wcfg, Store: st2, TraceCacheBytes: recordBytes})
+	tiny := New(Config{Workload: wcfg, Store: st2})
+	tiny.traces.budget = recordBytes
 	if _, err := tiny.Execute(context.Background(), tierPlan("over-budget", "sms", "ghb")); err != nil {
 		t.Fatal(err)
 	}

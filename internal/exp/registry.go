@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -19,114 +18,91 @@ type Runner func(context.Context, *Session) (string, error)
 
 type renderable interface{ Render() string }
 
-func rendered(ctx context.Context, r renderable, err error) (string, error) {
-	if err != nil {
-		return "", err
+// render adapts a figure runner to a Runner: run it, then render its
+// result under a "render" span.
+func render[R renderable](run func(context.Context, *Session) (R, error)) Runner {
+	return func(ctx context.Context, s *Session) (string, error) {
+		r, err := run(ctx, s)
+		if err != nil {
+			return "", err
+		}
+		sp := obs.TracerFrom(ctx).Start("render", "figure", "")
+		defer sp.End()
+		return r.Render(), nil
 	}
-	sp := obs.TracerFrom(ctx).Start("render", "figure", "")
-	defer sp.End()
-	return r.Render(), nil
+}
+
+// fig13View renders the Fig. 12 grid as Fig. 13's time breakdown.
+type fig13View struct{ *Fig12Result }
+
+func (v fig13View) Render() string { return v.RenderBreakdown() }
+
+// experiment is one registered figure or table: the plan it executes
+// (nil for table1, which runs no simulations) and its runner.
+type experiment struct {
+	name string
+	plan func(Options) engine.Plan
+	run  Runner
+}
+
+// registry lists every figure and table reproduced from the paper, in the
+// paper's order. It is a function, not a variable, so a binary that runs
+// one figure directly links only that figure.
+func registry() []experiment {
+	return []experiment{
+		{"table1", nil, func(_ context.Context, s *Session) (string, error) { return Table1(s), nil }},
+		{"fig4", Fig4Plan, render(Fig4)},
+		{"fig5", Fig5Plan, render(Fig5)},
+		{"fig6", Fig6Plan, render(Fig6)},
+		{"fig7", Fig7Plan, render(Fig7)},
+		{"fig8", Fig8Plan, render(Fig8)},
+		{"fig9", Fig9Plan, render(Fig9)},
+		{"fig10", Fig10Plan, render(Fig10)},
+		{"agt", AGTSizingPlan, render(AGTSizing)},
+		{"fig11", Fig11Plan, render(Fig11)},
+		{"fig12", Fig12Plan, render(Fig12)},
+		// Fig. 13 renders from the Fig. 12 grid.
+		{"fig13", Fig12Plan, render(func(ctx context.Context, s *Session) (fig13View, error) {
+			r, err := Fig12(ctx, s)
+			return fig13View{r}, err
+		})},
+		{"ablate", AblatePlan, render(Ablate)},
+		{"headline", HeadlinePlan, render(Headline)},
+		{"sampled", SampledPlan, render(Sampled)},
+	}
 }
 
 // Experiments returns the experiment registry: name → runner for every
 // figure and table reproduced from the paper.
 func Experiments() map[string]Runner {
-	return map[string]Runner{
-		"table1": func(_ context.Context, s *Session) (string, error) { return Table1(s), nil },
-		"fig4": func(ctx context.Context, s *Session) (string, error) {
-			r, err := Fig4(ctx, s)
-			return rendered(ctx, r, err)
-		},
-		"fig5": func(ctx context.Context, s *Session) (string, error) {
-			r, err := Fig5(ctx, s)
-			return rendered(ctx, r, err)
-		},
-		"fig6": func(ctx context.Context, s *Session) (string, error) {
-			r, err := Fig6(ctx, s)
-			return rendered(ctx, r, err)
-		},
-		"fig7": func(ctx context.Context, s *Session) (string, error) {
-			r, err := Fig7(ctx, s)
-			return rendered(ctx, r, err)
-		},
-		"fig8": func(ctx context.Context, s *Session) (string, error) {
-			r, err := Fig8(ctx, s)
-			return rendered(ctx, r, err)
-		},
-		"fig9": func(ctx context.Context, s *Session) (string, error) {
-			r, err := Fig9(ctx, s)
-			return rendered(ctx, r, err)
-		},
-		"fig10": func(ctx context.Context, s *Session) (string, error) {
-			r, err := Fig10(ctx, s)
-			return rendered(ctx, r, err)
-		},
-		"agt": func(ctx context.Context, s *Session) (string, error) {
-			r, err := AGTSizing(ctx, s)
-			return rendered(ctx, r, err)
-		},
-		"fig11": func(ctx context.Context, s *Session) (string, error) {
-			r, err := Fig11(ctx, s)
-			return rendered(ctx, r, err)
-		},
-		"fig12": func(ctx context.Context, s *Session) (string, error) {
-			r, err := Fig12(ctx, s)
-			return rendered(ctx, r, err)
-		},
-		"fig13": func(ctx context.Context, s *Session) (string, error) {
-			r, err := Fig12(ctx, s)
-			if err != nil {
-				return "", err
-			}
-			sp := obs.TracerFrom(ctx).Start("render", "figure", "")
-			defer sp.End()
-			return r.RenderBreakdown(), nil
-		},
-		"ablate": func(ctx context.Context, s *Session) (string, error) {
-			r, err := Ablate(ctx, s)
-			return rendered(ctx, r, err)
-		},
-		"headline": func(ctx context.Context, s *Session) (string, error) {
-			r, err := Headline(ctx, s)
-			return rendered(ctx, r, err)
-		},
-		"sampled": func(ctx context.Context, s *Session) (string, error) {
-			r, err := Sampled(ctx, s)
-			return rendered(ctx, r, err)
-		},
+	reg := registry()
+	m := make(map[string]Runner, len(reg))
+	for _, e := range reg {
+		m[e.name] = e.run
 	}
+	return m
 }
 
-// planBuilders maps experiment names to their declarative plans. table1
-// is absent: it runs no simulations. fig13 renders from the fig12 grid.
-func planBuilders() map[string]func(Options) engine.Plan {
-	return map[string]func(Options) engine.Plan{
-		"fig4":     Fig4Plan,
-		"fig5":     Fig5Plan,
-		"fig6":     Fig6Plan,
-		"fig7":     Fig7Plan,
-		"fig8":     Fig8Plan,
-		"fig9":     Fig9Plan,
-		"fig10":    Fig10Plan,
-		"agt":      AGTSizingPlan,
-		"fig11":    Fig11Plan,
-		"fig12":    Fig12Plan,
-		"fig13":    Fig12Plan,
-		"ablate":   AblatePlan,
-		"headline": HeadlinePlan,
-		"sampled":  SampledPlan,
+// ExperimentNames returns the registry's names in the paper's order.
+func ExperimentNames() []string {
+	reg := registry()
+	names := make([]string, len(reg))
+	for i, e := range reg {
+		names[i] = e.name
 	}
+	return names
 }
 
 // PlanFor returns the engine plan a registered experiment executes under
 // the given options. The second return is false for experiments that run
 // no simulations (table1) and unknown names.
 func PlanFor(name string, o Options) (engine.Plan, bool) {
-	b, ok := planBuilders()[name]
-	if !ok {
-		return engine.Plan{}, false
+	for _, e := range registry() {
+		if e.name == name && e.plan != nil {
+			return e.plan(o.normalized()), true
+		}
 	}
-	return b(o.normalized()), true
+	return engine.Plan{}, false
 }
 
 // MergedPlan builds one deduplicated grid covering several experiments —
@@ -155,23 +131,6 @@ func MergedPlan(name string, o Options, experiments ...string) (engine.Plan, boo
 		return engine.Plan{}, false
 	}
 	return engine.Merge(name, plans...), true
-}
-
-// ExperimentNames returns the registry's names in the paper's order.
-func ExperimentNames() []string {
-	order := []string{"table1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "agt", "fig11", "fig12", "fig13", "ablate", "headline", "sampled"}
-	// Sanity: keep the map and the order in sync; fall back to a sorted
-	// listing if they ever drift so no experiment becomes unreachable.
-	m := Experiments()
-	if len(order) != len(m) {
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		return keys
-	}
-	return order
 }
 
 // Figure runs the named experiment through the figure-level store cache.

@@ -89,10 +89,8 @@ func newMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 			return pick(st.Stats())
 		}
 	}
-	r.CounterFunc("smsd_store_hits_total", "Store object hits.", storeStat(func(st store.Stats) uint64 { return st.Hits }))
+	r.CounterFunc("smsd_store_hits_total", "Store objects read from disk and decoded.", storeStat(func(st store.Stats) uint64 { return st.Hits }))
 	r.CounterFunc("smsd_store_misses_total", "Store object misses.", storeStat(func(st store.Stats) uint64 { return st.Misses }))
-	r.CounterFunc("smsd_store_mem_hits_total", "Store hits served from the LRU front.", storeStat(func(st store.Stats) uint64 { return st.MemHits }))
-	r.CounterFunc("smsd_store_disk_hits_total", "Store hits served from disk.", storeStat(func(st store.Stats) uint64 { return st.DiskHits }))
 	r.CounterFunc("smsd_store_writes_total", "Objects written to the store.", storeStat(func(st store.Stats) uint64 { return st.Writes }))
 	r.CounterFunc("smsd_store_corrupt_total", "Corrupt store objects treated as misses.", storeStat(func(st store.Stats) uint64 { return st.Corrupt }))
 	r.CounterFunc("smsd_store_corrupt_quarantined_total", "Corrupt store objects moved to the quarantine directory.", storeStat(func(st store.Stats) uint64 { return st.Quarantined }))

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/exp"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -24,10 +25,11 @@ import (
 // records beyond the retained job list.
 const journalCompactEvery = 256
 
-// jobBody reconstructs the executable body for a journaled spec — the
-// same closure figureJob / handleRunJob would have built — or reports
-// why the spec can no longer run (a figure or workload renamed across
-// the restart).
+// jobBody builds the executable body of a job spec, and the run count its
+// progress reports against, or reports why the spec cannot run (a figure
+// or workload unknown, or renamed across a restart). figureJob and
+// handleRunJob build their jobs through it, and recovery rebuilds
+// journaled jobs through it.
 func (s *Server) jobBody(spec jobSpec) (totalRuns int, run func(ctx context.Context, j *job) error, err error) {
 	switch spec.Kind {
 	case "figure":
@@ -53,32 +55,42 @@ func (s *Server) jobBody(spec jobSpec) (totalRuns int, run func(ctx context.Cont
 		if spec.Run == nil {
 			return 0, nil, fmt.Errorf("run job without a request")
 		}
-		req := *spec.Run
-		if _, err := workload.ByName(req.Workload); err != nil {
-			return 0, nil, err
-		}
-		cfg, err := s.runConfig(req)
-		if err != nil {
-			return 0, nil, err
-		}
-		key := s.session.RunKey(req.Workload, cfg)
-		return 1, func(ctx context.Context, j *job) error {
-			res, err := s.session.Run(ctx, req.Workload, cfg)
-			if err != nil {
-				return err
-			}
-			j.mu.Lock()
-			j.result = &RunResponse{
-				Workload:   req.Workload,
-				Prefetcher: cfg.Canonical().PrefetcherName,
-				Key:        key,
-				Result:     res,
-			}
-			j.mu.Unlock()
-			return nil
-		}, nil
+		_, run, err := s.runBody(*spec.Run)
+		return 1, run, err
 	default:
 		return 0, nil, fmt.Errorf("unknown job kind %q", spec.Kind)
+	}
+}
+
+// runBody validates one run request and returns the simulator config it
+// runs and its job body.
+func (s *Server) runBody(req RunRequest) (sim.Config, func(ctx context.Context, j *job) error, error) {
+	if _, err := workload.ByName(req.Workload); err != nil {
+		return sim.Config{}, nil, err
+	}
+	cfg, err := s.runConfig(req)
+	if err != nil {
+		return sim.Config{}, nil, err
+	}
+	return cfg, func(ctx context.Context, j *job) error {
+		res, err := s.session.Run(ctx, req.Workload, cfg)
+		if err != nil {
+			return err
+		}
+		j.mu.Lock()
+		j.result = s.runResponse(req, cfg, res)
+		j.mu.Unlock()
+		return nil
+	}, nil
+}
+
+// runResponse is the response document of one run request's result.
+func (s *Server) runResponse(req RunRequest, cfg sim.Config, res *sim.Result) *RunResponse {
+	return &RunResponse{
+		Workload:   req.Workload,
+		Prefetcher: cfg.Canonical().PrefetcherName,
+		Key:        s.session.RunKey(req.Workload, cfg),
+		Result:     res,
 	}
 }
 
@@ -167,12 +179,7 @@ func (s *Server) adoptSettled(jj *journalJob) {
 				if cfg, err := s.runConfig(req); err == nil {
 					if res, ok := s.session.CachedRun(req.Workload, cfg); ok {
 						j.progress = JobProgress{TotalRuns: 1, DoneRuns: 1, CachedRuns: 1}
-						j.result = &RunResponse{
-							Workload:   req.Workload,
-							Prefetcher: cfg.Canonical().PrefetcherName,
-							Key:        s.session.RunKey(req.Workload, cfg),
-							Result:     res,
-						}
+						j.result = s.runResponse(req, cfg, res)
 					}
 				}
 			}

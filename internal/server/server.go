@@ -795,22 +795,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // the named figure. Both the synchronous GET and the async POST funnel
 // through it, so at most one computation per figure is ever in flight,
 // including the custom plan cells run-level memoization cannot dedupe.
-func (s *Server) figureJob(name string, run exp.Runner) (*job, error) {
-	totalRuns := 0
-	if plan, ok := exp.PlanFor(name, s.session.Options()); ok {
-		totalRuns = len(plan.Workloads)*len(plan.Variants) + len(plan.Customs)
-	}
+func (s *Server) figureJob(name string) (*job, error) {
 	spec := jobSpec{Kind: "figure", Target: name, Dedupe: "figure/" + name, Figure: name}
-	j, _, err := s.startJob(spec, totalRuns, func(ctx context.Context, j *job) error {
-		text, err := s.session.RunFigure(ctx, name, run)
-		if err != nil {
-			return err
-		}
-		j.mu.Lock()
-		j.figure = text
-		j.mu.Unlock()
-		return nil
-	})
+	totalRuns, run, err := s.jobBody(spec)
+	if err != nil {
+		return nil, err
+	}
+	j, _, err := s.startJob(spec, totalRuns, run)
 	return j, err
 }
 
@@ -820,8 +811,7 @@ func (s *Server) figureJob(name string, run exp.Runner) (*job, error) {
 // can never deadlock the pool.
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	run, ok := s.experiments[name]
-	if !ok {
+	if _, ok := s.experiments[name]; !ok {
 		writeJSON(w, http.StatusNotFound, errorDoc{
 			Error: fmt.Sprintf("unknown figure %q", name),
 			Known: s.names,
@@ -840,7 +830,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintln(w, text)
 			return
 		}
-		j, err := s.figureJob(name, run)
+		j, err := s.figureJob(name)
 		if err != nil {
 			s.metrics.failures.Inc()
 			writeJSON(w, http.StatusServiceUnavailable, errorDoc{Error: err.Error()})
@@ -888,8 +878,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 // Duplicate requests join the in-flight job and receive the same id.
 func (s *Server) handleFigureJob(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	run, ok := s.experiments[name]
-	if !ok {
+	if _, ok := s.experiments[name]; !ok {
 		writeJSON(w, http.StatusNotFound, errorDoc{
 			Error: fmt.Sprintf("unknown figure %q", name),
 			Known: s.names,
@@ -902,7 +891,7 @@ func (s *Server) handleFigureJob(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, j.doc())
 		return
 	}
-	j, err := s.figureJob(name, run)
+	j, err := s.figureJob(name)
 	if err != nil {
 		s.metrics.failures.Inc()
 		writeJSON(w, http.StatusServiceUnavailable, errorDoc{Error: err.Error()})
@@ -993,43 +982,23 @@ func (s *Server) handleRunJob(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error(), Known: known})
 		return
 	}
-	cfg, err := s.runConfig(req)
+	cfg, run, err := s.runBody(req)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorDoc{Error: err.Error()})
 		return
 	}
 
-	key := s.session.RunKey(req.Workload, cfg)
-	target := fmt.Sprintf("%s/%s", req.Workload, cfg.Canonical().PrefetcherName)
+	spec := jobSpec{Kind: "run", Target: fmt.Sprintf("%s/%s", req.Workload, cfg.Canonical().PrefetcherName), Run: &req}
 	if res, ok := s.session.CachedRun(req.Workload, cfg); ok {
-		j := s.settledJob(jobSpec{Kind: "run", Target: target, Run: &req}, func(j *job) {
+		j := s.settledJob(spec, func(j *job) {
 			j.progress = JobProgress{TotalRuns: 1, DoneRuns: 1, CachedRuns: 1}
-			j.result = &RunResponse{
-				Workload:   req.Workload,
-				Prefetcher: cfg.Canonical().PrefetcherName,
-				Key:        key,
-				Result:     res,
-			}
+			j.result = s.runResponse(req, cfg, res)
 		})
 		w.Header().Set("Location", "/v1/jobs/"+j.id)
 		writeJSON(w, http.StatusAccepted, j.doc())
 		return
 	}
-	j, _, err := s.startJob(jobSpec{Kind: "run", Target: target, Run: &req}, 1, func(ctx context.Context, j *job) error {
-		res, err := s.session.Run(ctx, req.Workload, cfg)
-		if err != nil {
-			return err
-		}
-		j.mu.Lock()
-		j.result = &RunResponse{
-			Workload:   req.Workload,
-			Prefetcher: cfg.Canonical().PrefetcherName,
-			Key:        key,
-			Result:     res,
-		}
-		j.mu.Unlock()
-		return nil
-	})
+	j, _, err := s.startJob(spec, 1, run)
 	if err != nil {
 		s.metrics.failures.Inc()
 		writeJSON(w, http.StatusServiceUnavailable, errorDoc{Error: err.Error()})

@@ -66,7 +66,7 @@ var registry = struct {
 }{ctors: make(map[string]Constructor)}
 
 // Register makes a prefetcher scheme available under name (as used by
-// Config.PrefetcherName, sim.New, and the CLIs). It is intended to be
+// Config.PrefetcherName and the CLIs). It is intended to be
 // called from package init; it panics on an empty name or a duplicate
 // registration, which is always a programming error.
 func Register(name string, ctor Constructor) {
@@ -105,14 +105,6 @@ func lookup(name string) (Constructor, error) {
 		return nil, fmt.Errorf("sim: unknown prefetcher %q (registered: %v)", name, Names())
 	}
 	return ctor, nil
-}
-
-// New builds a runner for cfg with the named prefetcher attached. It is
-// the registry-first spelling of NewRunner: the name overrides whatever
-// cfg.PrefetcherName selected.
-func New(name string, cfg Config) (*Runner, error) {
-	cfg.PrefetcherName = name
-	return NewRunner(cfg)
 }
 
 // Built-in schemes. Each constructor resolves the per-scheme config from

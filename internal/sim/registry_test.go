@@ -24,7 +24,7 @@ func smallCoherence(cpus int) coherence.Config {
 }
 
 func TestUnknownNameRejected(t *testing.T) {
-	_, err := sim.New("no-such-scheme", sim.Config{Coherence: smallCoherence(1)})
+	_, err := sim.NewRunner(sim.Config{PrefetcherName: "no-such-scheme", Coherence: smallCoherence(1)})
 	if err == nil {
 		t.Fatal("unknown prefetcher name accepted")
 	}
@@ -78,7 +78,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 	const n = 20_000
 	for _, name := range names {
-		r, err := sim.New(name, sim.Config{Coherence: smallCoherence(2), WarmupAccesses: n / 2})
+		r, err := sim.NewRunner(sim.Config{PrefetcherName: name, Coherence: smallCoherence(2), WarmupAccesses: n / 2})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -110,7 +110,7 @@ func TestNextlineCoversSequentialMisses(t *testing.T) {
 	w, _ := workload.ByName("ocean")
 	const n = 100_000
 	run := func(name string) *sim.Result {
-		r, err := sim.New(name, sim.Config{Coherence: smallCoherence(2), WarmupAccesses: n / 2})
+		r, err := sim.NewRunner(sim.Config{PrefetcherName: name, Coherence: smallCoherence(2), WarmupAccesses: n / 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,11 +17,12 @@
 // Writes are atomic (temp file + rename in the same directory), so a
 // crashed writer never leaves a partially-written object visible. Reads
 // are corruption-tolerant: an object that fails to decode is treated as a
-// miss (and dropped from the in-memory layer), never as an error — the
-// poisoned file is moved to <dir>/corrupt/<kind>/ so it cannot shadow
-// the recomputed object. A
-// byte-bounded in-memory LRU layer sits in front of the disk so repeated
-// lookups in one process skip the filesystem.
+// miss, never as an error — the poisoned file is moved to
+// <dir>/corrupt/<kind>/ so it cannot shadow the recomputed object.
+//
+// The store keeps no object in memory: every lookup reads the object
+// file, so processes sharing a directory see each other's writes. The
+// engine's result memo is the in-process cache in front of it.
 package store
 
 import (
@@ -53,9 +54,6 @@ import (
 // unchanged, but pre-/3 store objects are unreachable under the new
 // addresses.
 const VersionSalt = "sms-repro/3"
-
-// DefaultMemoryBytes bounds the in-memory LRU layer by default.
-const DefaultMemoryBytes = 64 << 20
 
 // Object kinds (also the on-disk subdirectory names).
 const (
@@ -129,15 +127,13 @@ func ForFigure(figure string, cpus int, seed int64, length uint64, sampling sim.
 	})
 }
 
-// Stats counts store activity. Hits = MemHits + DiskHits; lookups that
-// find nothing (or only a corrupt object) count as Misses. The Trace*
-// counters cover the binary trace tier (see trace.go), which bypasses
-// the JSON object path and the in-memory LRU.
+// Stats counts store activity. Hits counts objects read and decoded
+// from disk; lookups that find nothing (or only a corrupt object) count
+// as Misses. The Trace* counters cover the binary trace tier (see
+// trace.go), which bypasses the JSON object path.
 type Stats struct {
 	Hits         uint64
 	Misses       uint64
-	MemHits      uint64
-	DiskHits     uint64
 	Writes       uint64
 	Corrupt      uint64
 	Quarantined  uint64
@@ -151,13 +147,6 @@ type Stats struct {
 	TraceBytesWritten uint64
 }
 
-// Options tune a Store.
-type Options struct {
-	// MemoryBytes bounds the in-memory LRU layer. 0 selects
-	// DefaultMemoryBytes; negative disables the layer entirely.
-	MemoryBytes int64
-}
-
 // Store is a content-addressed result store rooted at one directory. It
 // is safe for concurrent use.
 type Store struct {
@@ -169,15 +158,11 @@ type Store struct {
 	fault *fault.Injector
 
 	mu    sync.Mutex
-	lru   *lruCache
 	stats Stats
 }
 
 // Open opens (creating if needed) the store rooted at dir.
-func Open(dir string) (*Store, error) { return OpenOptions(dir, Options{}) }
-
-// OpenOptions is Open with explicit tuning.
-func OpenOptions(dir string, o Options) (*Store, error) {
+func Open(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
 	}
@@ -186,15 +171,7 @@ func OpenOptions(dir string, o Options) (*Store, error) {
 			return nil, fmt.Errorf("store: creating %s: %w", kind, err)
 		}
 	}
-	limit := o.MemoryBytes
-	if limit == 0 {
-		limit = DefaultMemoryBytes
-	}
-	var lru *lruCache
-	if limit > 0 {
-		lru = newLRUCache(limit)
-	}
-	return &Store{dir: dir, lru: lru}, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the store's root directory.
@@ -213,7 +190,7 @@ func (s *Store) Stats() Stats {
 }
 
 // GetResult fetches the simulation result stored at key, reporting
-// whether it was present (in memory or on disk) and decoded cleanly.
+// whether it was present on disk and decoded cleanly.
 func (s *Store) GetResult(key string) (*sim.Result, bool) {
 	var res sim.Result
 	if !s.get(kindResult, key, &res, true) {
@@ -275,36 +252,24 @@ func (s *Store) objectPath(kind, key string) string {
 	return filepath.Join(s.dir, kind, prefix, key+".json")
 }
 
-// get loads and decodes the object at (kind, key) into out, maintaining
-// the LRU layer and the hit/miss/corruption counters (misses only when
-// countMiss, for the Probe variants). Decoding happens outside the mutex
-// so concurrent lookups of distinct keys do not serialize on one core;
-// the lock covers only LRU and stats bookkeeping.
+// get reads and decodes the object at (kind, key) into out, maintaining
+// the hit/miss/corruption counters (misses only when countMiss, for the
+// Probe variants). Reading and decoding happen outside the mutex so
+// concurrent lookups of distinct keys do not serialize on one core; the
+// lock covers only the stats.
 func (s *Store) get(kind, key string, out any, countMiss bool) bool {
-	cacheKey := kind + "/" + key
-
-	s.mu.Lock()
-	var data []byte
-	fromMem := false
-	if s.lru != nil {
-		data, fromMem = s.lru.get(cacheKey)
+	path := s.objectPath(kind, key)
+	data, err := os.ReadFile(path)
+	if s.fault != nil && err == nil {
+		err = s.fault.Point("store." + kind + ".read")
 	}
-	s.mu.Unlock()
-
-	if !fromMem {
-		d, err := os.ReadFile(s.objectPath(kind, key))
-		if s.fault != nil && err == nil {
-			err = s.fault.Point("store." + kind + ".read")
+	if err != nil {
+		if countMiss {
+			s.mu.Lock()
+			s.stats.Misses++
+			s.mu.Unlock()
 		}
-		if err != nil {
-			if countMiss {
-				s.mu.Lock()
-				s.stats.Misses++
-				s.mu.Unlock()
-			}
-			return false
-		}
-		data = d
+		return false
 	}
 
 	if err := json.Unmarshal(data, out); err != nil {
@@ -315,33 +280,18 @@ func (s *Store) get(kind, key string, out any, countMiss bool) bool {
 		// read or shadow the recomputed object.
 		slog.Warn("store: corrupt object quarantined and treated as a miss", "kind", kind, "key", key, "err", err)
 		s.mu.Lock()
-		if fromMem && s.lru != nil {
-			s.lru.remove(cacheKey)
-		}
 		s.stats.Corrupt++
 		if countMiss {
 			s.stats.Misses++
 		}
 		s.mu.Unlock()
-		if !fromMem {
-			// Only quarantine bytes known to have come from this disk
-			// file; a stale in-memory entry says nothing about it.
-			s.quarantine(kind, s.objectPath(kind, key))
-		}
+		s.quarantine(kind, path)
 		return false
 	}
 
 	s.mu.Lock()
 	s.stats.Hits++
-	if fromMem {
-		s.stats.MemHits++
-	} else {
-		s.stats.DiskHits++
-		s.stats.BytesRead += uint64(len(data))
-		if s.lru != nil {
-			s.lru.add(cacheKey, data)
-		}
-	}
+	s.stats.BytesRead += uint64(len(data))
 	s.mu.Unlock()
 	return true
 }
@@ -429,8 +379,5 @@ func (s *Store) put(kind, key string, v any) error {
 	defer s.mu.Unlock()
 	s.stats.Writes++
 	s.stats.BytesWritten += uint64(len(data))
-	if s.lru != nil {
-		s.lru.add(kind+"/"+key, data)
-	}
 	return nil
 }

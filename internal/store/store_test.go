@@ -102,7 +102,7 @@ func TestResultRoundTrip(t *testing.T) {
 	}
 
 	st := s.Stats()
-	if st.Misses != 1 || st.Hits != 1 || st.MemHits != 1 || st.Writes != 1 {
+	if st.Misses != 1 || st.Hits != 1 || st.Writes != 1 || st.BytesRead == 0 {
 		t.Errorf("stats = %+v", st)
 	}
 
@@ -114,16 +114,39 @@ func TestResultRoundTrip(t *testing.T) {
 	if _, ok := s2.GetResult(key); !ok {
 		t.Fatal("cold open missed persisted result")
 	}
-	st2 := s2.Stats()
-	if st2.DiskHits != 1 || st2.MemHits != 0 || st2.BytesRead == 0 {
-		t.Errorf("cold stats = %+v", st2)
+	if st2 := s2.Stats(); st2.Hits != 1 || st2.Misses != 0 || st2.BytesRead != st.BytesRead {
+		t.Errorf("cold stats = %+v, want one hit reading %d bytes", st2, st.BytesRead)
 	}
-	// Now cached in memory.
-	if _, ok := s2.GetResult(key); !ok {
-		t.Fatal("warm lookup missed")
+}
+
+// TestStoreReadsDisk: a store serves what is on disk now, not what it
+// read or wrote earlier, so two processes sharing a directory see each
+// other's writes.
+func TestStoreReadsDisk(t *testing.T) {
+	dir := t.TempDir()
+	a, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st2 := s2.Stats(); st2.MemHits != 1 {
-		t.Errorf("warm stats = %+v", st2)
+	b, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := ForFigure("fig8", 2, 1, 200_000, sim.SamplingConfig{})
+	if err := a.PutFigure(key, "old"); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := a.GetFigure(key); !ok || got != "old" {
+		t.Fatalf("a read %q, %v before the rewrite", got, ok)
+	}
+	if err := b.PutFigure(key, "new"); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := a.GetFigure(key); !ok || got != "new" {
+		t.Fatalf("a read %q, %v after b rewrote the object, want \"new\"", got, ok)
+	}
+	if got, ok := a.ProbeFigure(key); !ok || got != "new" {
+		t.Fatalf("a probed %q, %v after b rewrote the object, want \"new\"", got, ok)
 	}
 }
 
@@ -162,24 +185,20 @@ func TestCorruptObjectIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A fresh store (no memory layer entry) must treat it as a miss, not
-	// an error.
-	s2, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s2.GetFigure(key); ok {
+	// The store that wrote the good object must treat it as a miss, not
+	// an error, and move the damaged file aside.
+	if _, ok := s.GetFigure(key); ok {
 		t.Fatal("corrupt object served")
 	}
-	st := s2.Stats()
-	if st.Corrupt != 1 || st.Misses != 1 || st.Hits != 0 {
+	st := s.Stats()
+	if st.Corrupt != 1 || st.Quarantined != 1 || st.Misses != 1 || st.Hits != 0 {
 		t.Errorf("stats = %+v", st)
 	}
 	// Re-putting repairs it.
-	if err := s2.PutFigure(key, "repaired"); err != nil {
+	if err := s.PutFigure(key, "repaired"); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := s2.GetFigure(key); !ok || got != "repaired" {
+	if got, ok := s.GetFigure(key); !ok || got != "repaired" {
 		t.Fatalf("after repair: %q, %v", got, ok)
 	}
 }
@@ -259,33 +278,6 @@ func TestAtomicWritesLeaveNoTempFiles(t *testing.T) {
 	}
 	if len(stray) != 0 {
 		t.Errorf("stray non-object files: %v", stray)
-	}
-}
-
-func TestMemoryLayerEviction(t *testing.T) {
-	dir := t.TempDir()
-	// A budget big enough for roughly one figure object at a time.
-	s, err := OpenOptions(dir, Options{MemoryBytes: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k1 := ForFigure("fig4", 1, 1, 10, sim.SamplingConfig{})
-	k2 := ForFigure("fig5", 1, 1, 10, sim.SamplingConfig{})
-	if err := s.PutFigure(k1, "first object, forty-plus bytes of text"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutFigure(k2, "second object, also forty-plus bytes!!"); err != nil {
-		t.Fatal(err)
-	}
-	if s.lru.len() != 1 {
-		t.Fatalf("lru holds %d entries, want 1", s.lru.len())
-	}
-	// The evicted object must still be served — from disk.
-	if got, ok := s.GetFigure(k1); !ok || got != "first object, forty-plus bytes of text" {
-		t.Fatalf("evicted object lost: %q, %v", got, ok)
-	}
-	if st := s.Stats(); st.DiskHits != 1 {
-		t.Errorf("stats = %+v", st)
 	}
 }
 

@@ -273,20 +273,6 @@ type Func func() (Record, bool)
 // Next implements Source.
 func (f Func) Next() (Record, bool) { return f() }
 
-// Concat chains sources one after another.
-func Concat(srcs ...Source) Source {
-	i := 0
-	return Func(func() (Record, bool) {
-		for i < len(srcs) {
-			if r, ok := srcs[i].Next(); ok {
-				return r, true
-			}
-			i++
-		}
-		return Record{}, false
-	})
-}
-
 // ---- Binary trace file format ----
 //
 // Header: magic "SMST" (4 bytes), version uint16, reserved uint16,

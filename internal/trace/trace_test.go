@@ -94,22 +94,6 @@ func TestSkip(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := mkRecords(3, 5)
-	b := mkRecords(2, 6)
-	src := Concat(NewSliceSource(a), NewSliceSource(b))
-	got := Collect(src, 0)
-	if len(got) != 5 {
-		t.Fatalf("Concat yielded %d", len(got))
-	}
-	if got[3] != b[0] {
-		t.Error("second source records out of order")
-	}
-	if got := Collect(Concat(), 0); len(got) != 0 {
-		t.Error("empty Concat should be empty")
-	}
-}
-
 func TestWriteReadRoundTrip(t *testing.T) {
 	recs := mkRecords(1000, 7)
 	var buf bytes.Buffer
