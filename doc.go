@@ -41,6 +41,11 @@
 // sim.Config.PrefetcherName (sim.NewRunner). New schemes call sim.Register
 // from their package init and need no simulator changes; see README.md.
 //
+// A run's configuration is resolved in one place, sim.Config.Canonical:
+// sim.NewRunner builds every engine from that canonical form and the
+// result store hashes it, so a run's key names what was simulated. A
+// built-in scheme's canonical config keeps only its own sub-config.
+//
 // See README.md for a tour and EXPERIMENTS.md for paper-vs-measured
 // results.
 package repro

@@ -304,7 +304,7 @@ type legacySMS struct {
 
 func newLegacySMS(cfg Config) *legacySMS {
 	useFilter := cfg.FilterEntries >= 0
-	cfg = cfg.withDefaults()
+	cfg = cfg.Canonical()
 	filterCap := cfg.FilterEntries
 	if !useFilter {
 		filterCap = 0

@@ -36,18 +36,19 @@ type PatternHistoryTable struct {
 	lookups, hits, inserts, replacements uint64
 }
 
-// NewPHT builds a pattern history table. entries == 0 selects the
-// unbounded table; otherwise entries must be a multiple of assoc with a
-// power-of-two set count (paper default: 16k entries, 16-way).
+// NewPHT builds a pattern history table. entries <= 0 (the canonical
+// config spells it -1) selects the unbounded table; otherwise entries
+// must be a multiple of assoc with a power-of-two set count (paper
+// default: 16k entries, 16-way).
 func NewPHT(entries, assoc int) (*PatternHistoryTable, error) {
-	if entries == 0 {
+	if entries <= 0 {
 		return &PatternHistoryTable{inf: make(map[uint64]mem.Pattern)}, nil
 	}
 	if assoc <= 0 {
 		return nil, fmt.Errorf("core: PHT associativity %d not positive", assoc)
 	}
-	if entries < 0 || entries%assoc != 0 {
-		return nil, fmt.Errorf("core: PHT entries %d not a positive multiple of assoc %d", entries, assoc)
+	if entries%assoc != 0 {
+		return nil, fmt.Errorf("core: PHT entries %d not a multiple of assoc %d", entries, assoc)
 	}
 	nsets := entries / assoc
 	if nsets&(nsets-1) != 0 {

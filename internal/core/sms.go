@@ -49,40 +49,11 @@ const (
 	DefaultPredictionRegisters = 16
 )
 
-// withDefaults resolves zero fields to paper defaults.
-func (c Config) withDefaults() Config {
-	if c.Geometry == (mem.Geometry{}) {
-		c.Geometry = mem.DefaultGeometry()
-	}
-	if c.FilterEntries == 0 {
-		c.FilterEntries = DefaultFilterEntries
-	}
-	if c.AccumEntries == 0 {
-		c.AccumEntries = DefaultAccumEntries
-	} else if c.AccumEntries < 0 {
-		c.AccumEntries = 0 // unbounded table
-	}
-	if c.PHTEntries == 0 {
-		c.PHTEntries = DefaultPHTEntries
-	} else if c.PHTEntries < 0 {
-		c.PHTEntries = 0 // unbounded table
-	}
-	if c.PHTAssoc == 0 {
-		c.PHTAssoc = DefaultPHTAssoc
-	}
-	if c.PredictionRegisters == 0 {
-		c.PredictionRegisters = DefaultPredictionRegisters
-	} else if c.PredictionRegisters < 0 {
-		c.PredictionRegisters = 1 << 30
-	}
-	return c
-}
-
 // Canonical returns the configuration with zero fields resolved to the
 // paper defaults and every "unbounded"/"disabled" (<0) spelling
-// normalized to -1. Unlike the constructor-side resolution — which folds
-// <0 into an internal 0-means-unbounded encoding — Canonical is
-// idempotent, which the result store requires of anything it hashes.
+// normalized to -1. It is the only resolution: New builds from exactly
+// this form, and it is idempotent, which the result store requires of
+// anything it hashes. The tables translate -1 when they are built.
 func (c Config) Canonical() Config {
 	if c.Geometry == (mem.Geometry{}) {
 		c.Geometry = mem.DefaultGeometry()
@@ -162,8 +133,7 @@ type SMS struct {
 
 // New builds an SMS engine.
 func New(cfg Config) (*SMS, error) {
-	useFilter := cfg.FilterEntries >= 0
-	cfg = cfg.withDefaults()
+	cfg = cfg.Canonical()
 	if err := cfg.Geometry.CheckPatternWidth(); err != nil {
 		return nil, err
 	}
@@ -171,17 +141,13 @@ func New(cfg Config) (*SMS, error) {
 	if err != nil {
 		return nil, err
 	}
-	filterCap := cfg.FilterEntries
-	if !useFilter {
-		filterCap = 0
-	}
 	s := &SMS{
 		cfg:       cfg,
 		geo:       cfg.Geometry,
 		width:     cfg.Geometry.BlocksPerRegion(),
-		agt:       newActiveGenerationTable(filterCap, cfg.AccumEntries),
+		agt:       newActiveGenerationTable(cfg.FilterEntries, cfg.AccumEntries),
 		pht:       pht,
-		useFilter: useFilter,
+		useFilter: cfg.FilterEntries > 0,
 		regs:      NewRegisterFile(cfg.Geometry, cfg.PredictionRegisters),
 	}
 	return s, nil
@@ -196,7 +162,7 @@ func MustNew(cfg Config) *SMS {
 	return s
 }
 
-// Config returns the resolved configuration.
+// Config returns the canonical configuration the engine was built from.
 func (s *SMS) Config() Config { return s.cfg }
 
 // Geometry returns the engine's block/region geometry.
@@ -363,5 +329,5 @@ func (s *SMS) ActiveStreams() int { return s.regs.Active() }
 // String implements fmt.Stringer.
 func (s *SMS) String() string {
 	return fmt.Sprintf("SMS{%s index=%s filter=%d accum=%d pht=%d regs=%d}",
-		s.geo, s.cfg.Index, s.agt.filterCap, s.agt.accumCap, s.cfg.PHTEntries, s.cfg.PredictionRegisters)
+		s.geo, s.cfg.Index, s.agt.filterCap, s.agt.accumCap, s.pht.Entries(), s.regs.capacity)
 }

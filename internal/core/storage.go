@@ -77,7 +77,7 @@ func (s *SMS) Storage() StorageBits {
 	pht := PHTStorage(s.geo, cfg.PHTEntries, cfg.PHTAssoc)
 	agt := AGTStorage(s.geo, cfg.FilterEntries, cfg.AccumEntries)
 	regBits := 0
-	if cfg.PredictionRegisters < 1<<20 {
+	if cfg.PredictionRegisters > 0 && cfg.PredictionRegisters < 1<<20 {
 		// Each register: region base address + pattern.
 		regBits = cfg.PredictionRegisters * (addrBits - log2(s.geo.RegionSize()) + s.width)
 	}

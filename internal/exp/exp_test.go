@@ -161,7 +161,9 @@ func TestFig11ShapeQuick(t *testing.T) {
 			t.Errorf("%s: SMS %.3f <= GHB-16k %.3f", w, cov[w][VariantSMS], cov[w][VariantGHB16k])
 		}
 	}
-	// sparse must be the suite's best SMS coverage (92% in the paper).
+	// sparse's SMS coverage must stay high. The paper reports 92%; the
+	// reproduction reads 84.8% at the default length, below ocean's
+	// 96.9%, so this guards only a floor, not the suite's best.
 	if cov["sparse"][VariantSMS] < 0.5 {
 		t.Errorf("sparse SMS coverage %.3f too low", cov["sparse"][VariantSMS])
 	}

@@ -7,10 +7,10 @@
 // Structure: an index table maps a load PC to the most recent entry in a
 // circular global history buffer; each buffer entry holds a miss address
 // and a link to the previous entry for the same PC. On each trained miss,
-// the predictor walks the PC's linked list to reconstruct its recent miss
-// addresses, computes the delta stream, finds the previous occurrence of
-// the two most recent deltas (delta correlation), and predicts that the
-// deltas which followed that occurrence will repeat.
+// the predictor walks the PC's linked list, forming the delta stream of its
+// recent misses as it goes, until it finds the previous occurrence of the
+// two most recent deltas (delta correlation); it predicts that the deltas
+// which followed that occurrence will repeat.
 //
 // Like the paper, the reproduction applies GHB at the L2: its multi-access
 // lookup makes it impractical at L1 rates. The paper evaluates 256-entry
@@ -46,7 +46,10 @@ const (
 	DefaultMaxChain = 64
 )
 
-func (c Config) withDefaults() Config {
+// Canonical returns the configuration with every default resolved. It is
+// the only resolution: New builds from exactly this form, and it is the
+// idempotent form the result store hashes.
+func (c Config) Canonical() Config {
 	if c.HistoryEntries == 0 {
 		c.HistoryEntries = 256
 	}
@@ -68,13 +71,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Canonical returns the configuration with every default resolved — the
-// idempotent form the result store hashes.
-func (c Config) Canonical() Config { return c.withDefaults() }
-
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	c = c.withDefaults()
+	c = c.Canonical()
 	if c.HistoryEntries < 4 {
 		return fmt.Errorf("ghb: history entries %d too small", c.HistoryEntries)
 	}
@@ -101,7 +100,7 @@ type Stats struct {
 	Lookups     uint64
 	Matches     uint64 // delta-correlation hits
 	Prefetches  uint64
-	ChainLength uint64 // total entries walked (ChainLength/Lookups = mean)
+	ChainLength uint64 // entries walked, each walk ending at its match (ChainLength/Lookups = mean)
 }
 
 // GHB is the PC/DC global history buffer prefetcher.
@@ -119,7 +118,6 @@ type GHB struct {
 
 	// scratch buffers reused across lookups; out backs Train's returned
 	// prefetch list (valid until the next Train, per sim.Prefetcher).
-	addrs  []uint64
 	deltas []int64
 	out    []mem.Addr
 }
@@ -129,7 +127,7 @@ func New(cfg Config) (*GHB, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.Canonical()
 	g := &GHB{
 		cfg:   cfg,
 		buf:   make([]histEntry, cfg.HistoryEntries),
@@ -205,6 +203,12 @@ func (g *GHB) indexSlot(pc uint64) *indexEntry {
 // prefetch, following the PC's delta-correlated history. The caller (the
 // simulator) invokes Train on L2 demand misses.
 func (g *GHB) Train(pc uint64, addr mem.Addr) []mem.Addr {
+	return g.predict(g.record(pc, addr))
+}
+
+// record appends the miss to the history buffer and links it into its
+// PC's chain, returning its sequence number and block number.
+func (g *GHB) record(pc uint64, addr mem.Addr) (int64, uint64) {
 	g.stats.Trains++
 	blockNum := uint64(addr) / uint64(g.cfg.BlockSize)
 
@@ -217,43 +221,35 @@ func (g *GHB) Train(pc uint64, addr mem.Addr) []mem.Addr {
 	g.seq++
 	*g.slot(seq) = histEntry{blockNum: blockNum, prev: prev, seq: seq}
 	*ie = indexEntry{pc: pc, last: seq}
-
-	return g.predict(seq, blockNum)
+	return seq, blockNum
 }
 
-// predict reconstructs the PC's miss history ending at seq and applies
-// delta correlation.
+// predict walks the PC's miss history back from seq and applies delta
+// correlation. deltas[i] is the difference between the i-th and the
+// (i+1)-th most recent misses, so deltas[0] is the most recent; the two
+// most recent deltas (d2, d1) form the correlation key. Each older pair
+// is tested as soon as the walk forms it, and the walk stops at the
+// first match (at most MaxChain entries), so ChainLength counts the
+// entries walked up to the match.
 func (g *GHB) predict(seq int64, blockNum uint64) []mem.Addr {
 	g.stats.Lookups++
 
-	// Walk the chain: addrs[0] is the most recent miss (current one).
-	addrs := g.addrs[:0]
-	for cur := seq; g.live(cur) && len(addrs) < g.cfg.MaxChain; cur = g.slot(cur).prev {
-		addrs = append(addrs, g.slot(cur).blockNum)
-		g.stats.ChainLength++
-	}
-	g.addrs = addrs
-	if len(addrs) < 4 {
-		return nil // need at least 2 deltas of history plus a pair to match
-	}
-
-	// deltas[i] = addrs[i] - addrs[i+1]; deltas[0] is the most recent.
 	deltas := g.deltas[:0]
-	for i := 0; i+1 < len(addrs); i++ {
-		deltas = append(deltas, int64(addrs[i])-int64(addrs[i+1]))
+	match := -1
+	var newer uint64
+	for cur, n := seq, 0; n < g.cfg.MaxChain && g.live(cur); cur, n = g.slot(cur).prev, n+1 {
+		e := g.slot(cur)
+		g.stats.ChainLength++
+		if n > 0 {
+			deltas = append(deltas, int64(newer)-int64(e.blockNum))
+			if k := len(deltas); k >= 4 && deltas[k-2] == deltas[0] && deltas[k-1] == deltas[1] {
+				match = k - 2
+				break
+			}
+		}
+		newer = e.blockNum
 	}
 	g.deltas = deltas
-
-	// Correlation key: the two most recent deltas.
-	d1, d2 := deltas[0], deltas[1]
-	// Find the previous occurrence of (d2, d1) scanning older history.
-	match := -1
-	for j := 2; j+1 < len(deltas); j++ {
-		if deltas[j] == d1 && deltas[j+1] == d2 {
-			match = j
-			break
-		}
-	}
 	if match < 0 {
 		return nil
 	}

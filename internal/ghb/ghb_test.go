@@ -230,3 +230,98 @@ func TestSlotMaskMatchesModulo(t *testing.T) {
 		}
 	}
 }
+
+// referencePredict is the full-walk predict that the early-stopping walk
+// replaced: it collects up to MaxChain chain entries, forms every delta,
+// then searches them for the previous occurrence of (d2, d1). It counts
+// every entry walked into ChainLength, so only that field may differ.
+func (g *GHB) referencePredict(seq int64, blockNum uint64) []mem.Addr {
+	g.stats.Lookups++
+	var addrs []uint64
+	for cur := seq; g.live(cur) && len(addrs) < g.cfg.MaxChain; cur = g.slot(cur).prev {
+		addrs = append(addrs, g.slot(cur).blockNum)
+		g.stats.ChainLength++
+	}
+	if len(addrs) < 4 {
+		return nil
+	}
+	var deltas []int64
+	for i := 0; i+1 < len(addrs); i++ {
+		deltas = append(deltas, int64(addrs[i])-int64(addrs[i+1]))
+	}
+	d1, d2 := deltas[0], deltas[1]
+	match := -1
+	for j := 2; j+1 < len(deltas); j++ {
+		if deltas[j] == d1 && deltas[j+1] == d2 {
+			match = j
+			break
+		}
+	}
+	if match < 0 {
+		return nil
+	}
+	g.stats.Matches++
+	var out []mem.Addr
+	cur := int64(blockNum)
+	k := match - 1
+	for len(out) < g.cfg.Degree {
+		if k < 0 {
+			k = match - 1
+		}
+		cur += deltas[k]
+		k--
+		if cur < 0 {
+			break
+		}
+		out = append(out, mem.Addr(uint64(cur)*uint64(g.cfg.BlockSize)))
+		g.stats.Prefetches++
+	}
+	return out
+}
+
+// TestEarlyStopMatchesFullWalk pins the early-stopping chain walk to the
+// full walk it replaced: random miss sequences through both give
+// identical prefetch addresses and identical Stats apart from
+// ChainLength, which the early stop can only shorten. The sequences mix
+// strides, repeating delta patterns and jumps over a few PCs, at sizes
+// that wrap the buffer and at a chain bound shorter than the history.
+func TestEarlyStopMatchesFullWalk(t *testing.T) {
+	for _, cfg := range []Config{{}, {HistoryEntries: 16384}, {HistoryEntries: 1000, MaxChain: 9, Degree: 7}} {
+		fast, ref := MustNew(cfg), MustNew(cfg)
+		state := uint64(cfg.HistoryEntries) + 1
+		rnd := func() uint64 {
+			state = state*6364136223846793005 + 1442695040888963407
+			return state >> 33
+		}
+		blocks := map[uint64]uint64{}
+		for i := 0; i < 60_000; i++ {
+			pc := 0x400 + rnd()%6*4
+			pattern := []uint64{1, 1, 6, 2, 1 + pc%3}
+			step := pattern[i%len(pattern)]
+			switch r := rnd() % 16; {
+			case r == 0:
+				step = rnd() % 5000 // jump
+			case r == 1:
+				step = -step // reverse
+			}
+			blocks[pc] += step
+			a := mem.Addr(blocks[pc] % (1 << 40) * 64)
+			got := fast.Train(pc, a)
+			want := ref.referencePredict(ref.record(pc, a))
+			if !slices.Equal(got, want) {
+				t.Fatalf("%+v, train %d: early stop %v, full walk %v", cfg, i, got, want)
+			}
+		}
+		f, r := fast.Stats(), ref.Stats()
+		if f.ChainLength > r.ChainLength {
+			t.Errorf("%+v: early stop walked %d entries, full walk %d", cfg, f.ChainLength, r.ChainLength)
+		}
+		f.ChainLength, r.ChainLength = 0, 0
+		if f != r {
+			t.Fatalf("%+v: stats %+v, full walk %+v", cfg, f, r)
+		}
+		if f.Matches == 0 || f.Prefetches == 0 {
+			t.Fatalf("%+v: stream never predicted (%+v)", cfg, f)
+		}
+	}
+}

@@ -30,7 +30,7 @@ func NewDecoupledSectored(cfg Config) (*DecoupledSectored, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.Canonical()
 	pht, err := core.NewPHT(cfg.PHTEntries, cfg.PHTAssoc)
 	if err != nil {
 		return nil, err

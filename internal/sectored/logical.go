@@ -24,7 +24,7 @@ func NewLogicalSectored(cfg Config) (*LogicalSectored, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.Canonical()
 	pht, err := core.NewPHT(cfg.PHTEntries, cfg.PHTAssoc)
 	if err != nil {
 		return nil, err

@@ -46,38 +46,16 @@ type Config struct {
 	// (0 entries = paper default; <0 = unbounded).
 	PHTEntries int
 	PHTAssoc   int
-	// PredictionRegisters bounds concurrent streams (0 = paper default).
+	// PredictionRegisters bounds concurrent streams (0 = paper default;
+	// <0 = unbounded).
 	PredictionRegisters int
 }
 
-func (c Config) withDefaults() Config {
-	if c.Geometry == (mem.Geometry{}) {
-		c.Geometry = mem.DefaultGeometry()
-	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 32 << 10
-	}
-	if c.Assoc == 0 {
-		c.Assoc = 2
-	}
-	if c.PHTEntries == 0 {
-		c.PHTEntries = core.DefaultPHTEntries
-	} else if c.PHTEntries < 0 {
-		c.PHTEntries = 0
-	}
-	if c.PHTAssoc == 0 {
-		c.PHTAssoc = core.DefaultPHTAssoc
-	}
-	if c.PredictionRegisters == 0 {
-		c.PredictionRegisters = core.DefaultPredictionRegisters
-	}
-	return c
-}
-
 // Canonical returns the configuration with zero fields resolved to the
-// defaults and the "unbounded" (<0) PHT spelling normalized to -1; it is
-// the idempotent form the result store hashes (withDefaults, which folds
-// <0 into the internal 0-means-unbounded encoding, is not).
+// defaults and every "unbounded" (<0) spelling normalized to -1. It is
+// the only resolution: both training structures build from exactly this
+// form, and it is idempotent, which the result store requires of
+// anything it hashes. The tables translate -1 when they are built.
 func (c Config) Canonical() Config {
 	if c.Geometry == (mem.Geometry{}) {
 		c.Geometry = mem.DefaultGeometry()
@@ -97,15 +75,18 @@ func (c Config) Canonical() Config {
 	if c.PHTAssoc == 0 {
 		c.PHTAssoc = core.DefaultPHTAssoc
 	}
-	if c.PredictionRegisters == 0 {
+	switch {
+	case c.PredictionRegisters == 0:
 		c.PredictionRegisters = core.DefaultPredictionRegisters
+	case c.PredictionRegisters < 0:
+		c.PredictionRegisters = -1
 	}
 	return c
 }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	c = c.withDefaults()
+	c = c.Canonical()
 	if err := c.Geometry.CheckPatternWidth(); err != nil {
 		return err
 	}

@@ -204,7 +204,9 @@ func (s *Server) checkCell(req cluster.CellRequest) (string, int, error) {
 }
 
 // checkCellSize refuses a canonical cell configuration whose up-front
-// allocation exceeds maxCellBytes.
+// allocation exceeds maxCellBytes. A built-in scheme's canonical config
+// keeps only its own sub-config, so a cell is charged only for the tables
+// its scheme builds.
 func checkCellSize(cfg sim.Config) error {
 	perCPU := 0
 	add := func(size, per, bytes int) {

@@ -366,10 +366,10 @@ func TestOversizedCellRefused(t *testing.T) {
 		t.Fatalf("healthz after the refusals: %d %q", code, body)
 	}
 
-	// On 4 CPUs each may allocate 64 MiB; the defaults take 1.6 MiB. A
-	// 128 MiB L2 (32 MiB of lines) fits and a 256 MiB one does not; at
-	// 1-byte blocks a 32 MiB L2 does not either. A 2^20-entry PHT (40
-	// MiB) fits and one twice that size does not.
+	// On 4 CPUs each may allocate 64 MiB; an sms cell's defaults take
+	// 0.9 MiB. A 128 MiB L2 (32 MiB of lines) fits and a 256 MiB one does
+	// not; at 1-byte blocks a 32 MiB L2 does not either. A 2^20-entry PHT
+	// (40 MiB) fits and one twice that size does not.
 	for _, c := range []struct {
 		l2, block, pht int
 		want           int
@@ -393,6 +393,22 @@ func TestOversizedCellRefused(t *testing.T) {
 		cfg.SMS.PHTEntries = c.pht
 		if _, status, err := srv.checkCell(cluster.CellRequest{Workload: "sparse", Config: cfg}); status != c.want {
 			t.Errorf("L2 %d B, block %d B, PHT %d entries on 4 CPUs: status %d (%v), want %d", c.l2, c.block, c.pht, status, err, c.want)
+		}
+	}
+
+	// A cell is charged only for the tables its scheme builds: a
+	// 2^22-entry GHB history (160 MiB per CPU) sinks a ghb cell, while a
+	// none cell that never allocates it is accepted and runs.
+	for name, want := range map[string]int{"ghb": http.StatusBadRequest, "none": http.StatusOK} {
+		cfg := sess.Options().BaselineConfig()
+		cfg.PrefetcherName = name
+		cfg.GHB.HistoryEntries = 1 << 22
+		payload, err := json.Marshal(cluster.CellRequest{Workload: "sparse", Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, body := postJSON(t, ts.URL+"/v1/cells", string(payload)); code != want {
+			t.Errorf("%s cell with a 2^22-entry GHB history: %d %q, want %d", name, code, body, want)
 		}
 	}
 }

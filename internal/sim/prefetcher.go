@@ -54,10 +54,11 @@ type Prefetcher interface {
 	Stats() any
 }
 
-// Constructor builds one per-CPU prefetch engine from a fully resolved
-// Config (defaults applied, Geometry and Coherence populated). The runner
-// calls it once per simulated CPU. A constructor may return (nil, nil) to
-// attach no engine at all — the baseline system.
+// Constructor builds one per-CPU prefetch engine from the run's canonical
+// Config (see Config.Canonical: defaults applied, Geometry, Coherence and
+// the sub-configs resolved). The runner calls it once per simulated CPU.
+// A constructor may return (nil, nil) to attach no engine at all — the
+// baseline system.
 type Constructor func(cfg Config) (Prefetcher, error)
 
 var registry = struct {
@@ -107,47 +108,46 @@ func lookup(name string) (Constructor, error) {
 	return ctor, nil
 }
 
-// Built-in schemes. Each constructor resolves the per-scheme config from
-// the run's Config exactly as the pre-registry switch in NewRunner did.
+// builtins are the schemes this package registers. Each builds from its
+// own sub-config exactly as Config.Canonical resolved it, and own copies
+// that sub-config, the only one its run's key keeps.
+var builtins = map[string]struct {
+	ctor Constructor
+	own  func(dst *Config, src Config)
+}{
+	"none": {
+		ctor: func(Config) (Prefetcher, error) { return nil, nil },
+		own:  func(*Config, Config) {},
+	},
+	"sms": {
+		ctor: func(cfg Config) (Prefetcher, error) { return engine(core.NewSimPrefetcher(cfg.SMS)) },
+		own:  func(dst *Config, src Config) { dst.SMS = src.SMS },
+	},
+	"ls": {
+		ctor: func(cfg Config) (Prefetcher, error) { return engine(sectored.NewSimPrefetcher(cfg.LS)) },
+		own:  func(dst *Config, src Config) { dst.LS = src.LS },
+	},
+	"ghb": {
+		ctor: func(cfg Config) (Prefetcher, error) { return engine(ghb.NewSimPrefetcher(cfg.GHB)) },
+		own:  func(dst *Config, src Config) { dst.GHB = src.GHB },
+	},
+	"stride": {
+		ctor: func(cfg Config) (Prefetcher, error) { return engine(stride.NewSimPrefetcher(cfg.Stride)) },
+		own:  func(dst *Config, src Config) { dst.Stride = src.Stride },
+	},
+}
+
+// engine hands a built-in adapter to the runner as a Prefetcher, keeping
+// a failed build's typed nil out of the interface.
+func engine[P Prefetcher](p P, err error) (Prefetcher, error) {
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
 func init() {
-	Register("none", func(Config) (Prefetcher, error) { return nil, nil })
-	Register("sms", func(cfg Config) (Prefetcher, error) {
-		smsCfg := cfg.SMS
-		smsCfg.Geometry = cfg.Geometry
-		p, err := core.NewSimPrefetcher(smsCfg)
-		if err != nil {
-			return nil, err
-		}
-		return p, nil
-	})
-	Register("ls", func(cfg Config) (Prefetcher, error) {
-		lsCfg := cfg.LS
-		lsCfg.Geometry = cfg.Geometry
-		if lsCfg.CacheSize == 0 {
-			lsCfg.CacheSize = cfg.Coherence.L1.Size
-		}
-		p, err := sectored.NewSimPrefetcher(lsCfg)
-		if err != nil {
-			return nil, err
-		}
-		return p, nil
-	})
-	Register("ghb", func(cfg Config) (Prefetcher, error) {
-		gcfg := cfg.GHB
-		gcfg.BlockSize = cfg.Coherence.L1.BlockSize
-		p, err := ghb.NewSimPrefetcher(gcfg)
-		if err != nil {
-			return nil, err
-		}
-		return p, nil
-	})
-	Register("stride", func(cfg Config) (Prefetcher, error) {
-		scfg := cfg.Stride
-		scfg.BlockSize = cfg.Coherence.L1.BlockSize
-		p, err := stride.NewSimPrefetcher(scfg)
-		if err != nil {
-			return nil, err
-		}
-		return p, nil
-	})
+	for name, b := range builtins {
+		Register(name, b.ctor)
+	}
 }

@@ -4,12 +4,19 @@ package sim_test
 // schemes that themselves import sim (nextline) without a cycle.
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/coherence"
+	"repro/internal/core"
+	"repro/internal/ghb"
+	"repro/internal/mem"
+	"repro/internal/sectored"
 	"repro/internal/sim"
+	"repro/internal/stride"
 	"repro/internal/workload"
 
 	_ "repro/internal/nextline" // registers "nextline"
@@ -126,5 +133,88 @@ func TestNextlineCoversSequentialMisses(t *testing.T) {
 	}
 	if len(nl.PrefetcherStats) != 2 {
 		t.Fatalf("nextline stats not collected: %d entries", len(nl.PrefetcherStats))
+	}
+}
+
+// TestRunMatchesCanonicalRun: NewRunner builds from the canonical config,
+// so running a config and running its Canonical form give byte-identical
+// Result JSON for every built-in, whether its sub-config is left
+// implicit, spelled out with the defaults, or spelled "unbounded" as -1
+// or -7.
+func TestRunMatchesCanonicalRun(t *testing.T) {
+	sys := smallCoherence(2)
+	cfgs := []sim.Config{
+		{PrefetcherName: "none"},
+		{PrefetcherName: "none", SMS: core.Config{PHTEntries: 1024}, GHB: ghb.Config{HistoryEntries: 16384}},
+		{PrefetcherName: "sms"},
+		{PrefetcherName: "sms", SMS: core.Config{
+			Geometry: mem.DefaultGeometry(), Index: core.IndexPCOffset,
+			FilterEntries: core.DefaultFilterEntries, AccumEntries: core.DefaultAccumEntries,
+			PHTEntries: core.DefaultPHTEntries, PHTAssoc: core.DefaultPHTAssoc,
+			PredictionRegisters: core.DefaultPredictionRegisters,
+		}},
+		{PrefetcherName: "sms", SMS: core.Config{FilterEntries: -1, AccumEntries: -7, PHTEntries: -1, PredictionRegisters: -7}},
+		{PrefetcherName: "ls"},
+		{PrefetcherName: "ls", LS: sectored.Config{
+			Geometry: mem.DefaultGeometry(), CacheSize: sys.L1.Size, Assoc: 2,
+			PHTEntries: core.DefaultPHTEntries, PHTAssoc: core.DefaultPHTAssoc,
+			PredictionRegisters: core.DefaultPredictionRegisters,
+		}},
+		{PrefetcherName: "ls", LS: sectored.Config{PHTEntries: -7, PredictionRegisters: -1}},
+		{PrefetcherName: "ghb"},
+		{PrefetcherName: "ghb", GHB: ghb.Config{HistoryEntries: 256, IndexEntries: 256, Degree: ghb.DefaultDegree, MaxChain: ghb.DefaultMaxChain, BlockSize: 64}},
+		{PrefetcherName: "stride"},
+		{PrefetcherName: "stride", Stride: stride.Config{Entries: 512, Degree: 2, BlockSize: 64}},
+	}
+	w, err := workload.ByName("oltp-db2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 20_000
+	run := func(cfg sim.Config) []byte {
+		r, err := sim.NewRunner(cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		data, err := json.Marshal(r.Run(w.Make(workload.Config{CPUs: 2, Seed: 1, Length: n})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	for i, cfg := range cfgs {
+		cfg.Coherence, cfg.WarmupAccesses = sys, n/2
+		if raw, canon := run(cfg), run(cfg.Canonical()); !bytes.Equal(raw, canon) {
+			t.Errorf("cfg %d (%s): Run(cfg) and Run(cfg.Canonical()) differ", i, cfg.PrefetcherName)
+		}
+	}
+}
+
+// TestExternalSchemeReceivesSubConfigs: a scheme registered through
+// Register may read any sub-config, so it receives the caller's SMS
+// sub-config, resolved against the run, even though it is not "sms".
+func TestExternalSchemeReceivesSubConfigs(t *testing.T) {
+	var got sim.Config
+	sim.Register("sub-config-probe", func(cfg sim.Config) (sim.Prefetcher, error) {
+		got = cfg
+		return nil, nil
+	})
+	geo := mem.MustGeometry(64, 4096)
+	if _, err := sim.NewRunner(sim.Config{
+		PrefetcherName: "sub-config-probe",
+		Coherence:      smallCoherence(1),
+		Geometry:       geo,
+		SMS:            core.Config{PHTEntries: 1024, Index: core.IndexPC},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got.SMS.PHTEntries != 1024 || got.SMS.Index != core.IndexPC {
+		t.Errorf("probe received SMS %+v, want the caller's PHTEntries 1024 and Index PC", got.SMS)
+	}
+	if got.SMS.Geometry != geo {
+		t.Errorf("probe received SMS geometry %v, want the run's %v", got.SMS.Geometry, geo)
+	}
+	if got.LS.CacheSize != smallCoherence(1).L1.Size {
+		t.Errorf("probe received LS cache size %d, want the L1 size", got.LS.CacheSize)
 	}
 }

@@ -62,9 +62,11 @@ const (
 // Enabled reports whether the configuration turns sampling on.
 func (s SamplingConfig) Enabled() bool { return s.WindowRecords > 0 }
 
-// withDefaults resolves zero fields. A disabled config normalizes to the
-// zero value so every way of spelling "exact mode" hashes identically.
-func (s SamplingConfig) withDefaults() SamplingConfig {
+// Canonical returns the configuration with every default resolved: the
+// stable form hashed by the result store and exchanged over the smsd
+// HTTP API. A disabled config normalizes to the zero value so every way
+// of spelling "exact mode" hashes identically.
+func (s SamplingConfig) Canonical() SamplingConfig {
 	if !s.Enabled() {
 		return SamplingConfig{}
 	}
@@ -80,14 +82,9 @@ func (s SamplingConfig) withDefaults() SamplingConfig {
 	return s
 }
 
-// Canonical returns the configuration with every default resolved: the
-// stable form hashed by the result store and exchanged over the smsd
-// HTTP API.
-func (s SamplingConfig) Canonical() SamplingConfig { return s.withDefaults() }
-
 // Validate checks the resolved configuration for consistency.
 func (s SamplingConfig) Validate() error {
-	s = s.withDefaults()
+	s = s.Canonical()
 	if !s.Enabled() {
 		return nil
 	}
@@ -249,7 +246,7 @@ type sampledState struct {
 }
 
 func newSampledState(sc SamplingConfig) *sampledState {
-	sc = sc.withDefaults()
+	sc = sc.Canonical()
 	w := sc.WarmupRecords
 	if gap := sc.IntervalRecords - sc.WindowRecords; w > gap {
 		w = gap

@@ -52,15 +52,13 @@ type Config struct {
 	// (see Register; built-ins: "none", "sms", "ls", "ghb", "stride").
 	// Empty selects the baseline system ("none").
 	PrefetcherName string
-	// SMS configures per-CPU SMS engines (Geometry is overridden by the
-	// run's Geometry).
-	SMS core.Config
-	// LS configures the logical-sectored trainer (Geometry and
-	// CacheSize are overridden to match the run).
-	LS sectored.Config
-	// GHB configures the per-CPU GHB prefetchers.
-	GHB ghb.Config
-	// Stride configures the per-CPU stride prefetchers.
+	// SMS, LS, GHB and Stride configure the built-in schemes. Canonical
+	// derives their run-dependent fields (geometry, LS cache size, block
+	// size) from the run, and a built-in scheme's run keeps only its own
+	// sub-config.
+	SMS    core.Config
+	LS     sectored.Config
+	GHB    ghb.Config
 	Stride stride.Config
 	// StreamRate is the number of stream requests issued to the memory
 	// system per demand access processed (models finite stream
@@ -78,13 +76,6 @@ type Config struct {
 	// fixed instruction windows and records per-window samples for the
 	// timing model (Figs. 12/13).
 	WindowInstructions uint64
-	// OverlapGap is the instruction distance under which consecutive
-	// misses are considered overlapped (one MLP group) by the window
-	// sampler. 0 selects the default.
-	OverlapGap uint64
-	// MaxMLP caps the number of misses per overlap group (the MSHR
-	// bound on outstanding misses). 0 selects the default.
-	MaxMLP uint64
 	// Sampling, when enabled (WindowRecords > 0), switches the run to
 	// SMARTS-style sampled simulation: short detailed measurement
 	// windows separated by functional warming and fast-forwarded gaps,
@@ -96,18 +87,20 @@ type Config struct {
 // DefaultStreamRate bounds stream issue per processed access.
 const DefaultStreamRate = 4
 
-// DefaultOverlapGap is the instruction distance within which two misses
-// are treated as overlapped (issued from the same instruction window by
-// the out-of-order core). It matches the paper's 256-entry ROB: two
-// misses less than a reorder-buffer's worth of instructions apart can be
-// outstanding together.
-const DefaultOverlapGap = 256
-
-// DefaultMaxMLP caps misses per overlap group, mirroring the paper's
-// 32-MSHR L1 shared between demand misses and stream requests.
-const DefaultMaxMLP = 16
-
-func (c Config) withDefaults() Config {
+// Canonical returns the configuration with every default resolved, so two
+// configs that select the same simulation serialize identically. It is the
+// only resolution: NewRunner builds from exactly this form, the result
+// store hashes it, and smsd exchanges it over its HTTP API, so what a key
+// names is what was simulated.
+//
+// The sub-configs' run-dependent fields are derived here and nowhere
+// else: their geometry from the run, the LS cache size from the L1 size
+// (unless set), and the GHB and stride block size from the L1 block size.
+// A built-in scheme keeps only its own sub-config and "none" keeps none,
+// so one scheme's defaults never enter another's key. A scheme registered
+// from outside keeps all four resolved, since its constructor may read
+// any of them.
+func (c Config) Canonical() Config {
 	if c.PrefetcherName == "" {
 		c.PrefetcherName = "none"
 	}
@@ -120,27 +113,7 @@ func (c Config) withDefaults() Config {
 	if c.StreamRate == 0 {
 		c.StreamRate = DefaultStreamRate
 	}
-	if c.OverlapGap == 0 {
-		c.OverlapGap = DefaultOverlapGap
-	}
-	if c.MaxMLP == 0 {
-		c.MaxMLP = DefaultMaxMLP
-	}
-	c.Sampling = c.Sampling.withDefaults()
-	return c
-}
-
-// Canonical returns the configuration with every default resolved, so two
-// configs that select the same simulation serialize identically. It is the
-// stable form hashed by the result store and exchanged over the smsd HTTP
-// API.
-//
-// Sub-configs are canonicalized too, mirroring how the built-in
-// constructors derive them from the run (geometry and block size come
-// from the run, the LS cache size from the L1): defaults spelled out and
-// defaults left implicit hash to the same key.
-func (c Config) Canonical() Config {
-	c = c.withDefaults()
+	c.Sampling = c.Sampling.Canonical()
 
 	c.SMS.Geometry = c.Geometry
 	c.SMS = c.SMS.Canonical()
@@ -153,6 +126,12 @@ func (c Config) Canonical() Config {
 	c.GHB = c.GHB.Canonical()
 	c.Stride.BlockSize = c.Coherence.L1.BlockSize
 	c.Stride = c.Stride.Canonical()
+
+	if b, ok := builtins[c.PrefetcherName]; ok {
+		resolved := c
+		c.SMS, c.LS, c.GHB, c.Stride = core.Config{}, sectored.Config{}, ghb.Config{}, stride.Config{}
+		b.own(&c, resolved)
+	}
 	return c
 }
 
@@ -194,10 +173,10 @@ type Runner struct {
 	sampled *sampledState
 }
 
-// NewRunner builds a runner for cfg, attaching the prefetcher selected by
-// cfg.PrefetcherName from the registry.
+// NewRunner builds a runner for cfg.Canonical(), attaching the prefetcher
+// selected by cfg.PrefetcherName from the registry.
 func NewRunner(cfg Config) (*Runner, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.Canonical()
 	if err := cfg.Sampling.Validate(); err != nil {
 		return nil, err
 	}
@@ -263,7 +242,7 @@ func MustNewRunner(cfg Config) *Runner {
 	return r
 }
 
-// Config returns the resolved configuration.
+// Config returns the canonical configuration the runner was built from.
 func (r *Runner) Config() Config { return r.cfg }
 
 // DefaultProgressInterval is the record count between cancellation checks

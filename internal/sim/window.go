@@ -8,7 +8,7 @@ import (
 // Window is one fixed-size instruction window's memory behaviour, the
 // input to the interval timing model (package timing). Misses are grouped
 // into MLP clusters per CPU: consecutive misses closer together than
-// OverlapGap instructions are assumed to overlap in the out-of-order
+// overlapGap instructions are assumed to overlap in the out-of-order
 // core's window, so a group costs one memory round-trip. This is how the
 // model reproduces the paper's §4.7 observations that OLTP's spatially-
 // correlated misses already overlap (low SMS gain despite coverage) and
@@ -28,6 +28,17 @@ type Window struct {
 	// prefetcher in this window.
 	CoveredReads uint64
 }
+
+// overlapGap is the instruction distance within which two misses are
+// treated as overlapped (issued from the same instruction window by the
+// out-of-order core). It matches the paper's 256-entry ROB: two misses
+// less than a reorder-buffer's worth of instructions apart can be
+// outstanding together.
+const overlapGap = 256
+
+// maxMLP caps misses per overlap group, mirroring the paper's 32-MSHR L1
+// shared between demand misses and stream requests.
+const maxMLP = 16
 
 // winState is the in-flight window accumulator.
 type winState struct {
@@ -59,7 +70,6 @@ func (r *Runner) windowAccount(rec trace.Record, acc *coherence.AccessResult) {
 		w.haveStart = true
 	}
 	cpu := int(rec.CPU)
-	gap := r.cfg.OverlapGap
 
 	if rec.IsWrite() {
 		if acc.Missed(coherence.LevelL2) {
@@ -81,7 +91,7 @@ func (r *Runner) windowAccount(rec trace.Record, acc *coherence.AccessResult) {
 	case acc.Missed(coherence.LevelL2):
 		w.cur.OffChipReads++
 		w.offInGroup[cpu]++
-		if w.lastOffSeq[cpu] == 0 || rec.Seq-w.lastOffSeq[cpu] > gap || w.offInGroup[cpu] > r.cfg.MaxMLP {
+		if w.lastOffSeq[cpu] == 0 || rec.Seq-w.lastOffSeq[cpu] > overlapGap || w.offInGroup[cpu] > maxMLP {
 			w.cur.OffChipReadGroups++
 			w.offInGroup[cpu] = 1
 		}
@@ -89,7 +99,7 @@ func (r *Runner) windowAccount(rec trace.Record, acc *coherence.AccessResult) {
 	case acc.Missed(coherence.LevelL1):
 		w.cur.OnChipReads++
 		w.onInGroup[cpu]++
-		if w.lastOnSeq[cpu] == 0 || rec.Seq-w.lastOnSeq[cpu] > gap || w.onInGroup[cpu] > r.cfg.MaxMLP {
+		if w.lastOnSeq[cpu] == 0 || rec.Seq-w.lastOnSeq[cpu] > overlapGap || w.onInGroup[cpu] > maxMLP {
 			w.cur.OnChipReadGroups++
 			w.onInGroup[cpu] = 1
 		}

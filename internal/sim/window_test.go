@@ -9,9 +9,10 @@ import (
 	"repro/internal/trace"
 )
 
-// mkRunner builds a runner with windowing enabled and no warm-up so every
-// record is measured.
-func mkWindowRunner(t *testing.T, gap, maxMLP uint64) *Runner {
+// mkWindowRunner builds a runner with windowing enabled and no warm-up so
+// every record is measured. Misses group under the fixed overlapGap and
+// maxMLP.
+func mkWindowRunner(t *testing.T) *Runner {
 	t.Helper()
 	r, err := NewRunner(Config{
 		Coherence: coherence.Config{
@@ -20,8 +21,6 @@ func mkWindowRunner(t *testing.T, gap, maxMLP uint64) *Runner {
 			L2:   cache.Config{Size: 8 << 10, Assoc: 4, BlockSize: 64},
 		},
 		WindowInstructions: 1000,
-		OverlapGap:         gap,
-		MaxMLP:             maxMLP,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,15 +37,15 @@ func sumWindows(res *Result) (offReads, offGroups uint64) {
 }
 
 func TestWindowGroupingByGap(t *testing.T) {
-	r := mkWindowRunner(t, 50, 1000)
+	r := mkWindowRunner(t)
 	// Two bursts of 3 cold misses each, separated by more than the gap.
 	seq := uint64(1)
 	for burst := 0; burst < 2; burst++ {
 		for i := 0; i < 3; i++ {
 			r.Step(trace.Record{Seq: seq, PC: 0x400, Addr: mem.Addr(0x100000 + burst*0x10000 + i*64)})
-			seq += 10 // within the gap
+			seq += overlapGap / 8 // within the gap
 		}
-		seq += 200 // beyond the gap
+		seq += 2 * overlapGap // beyond the gap
 	}
 	r.finish()
 	res := &r.res
@@ -60,25 +59,25 @@ func TestWindowGroupingByGap(t *testing.T) {
 }
 
 func TestWindowGroupCapByMaxMLP(t *testing.T) {
-	r := mkWindowRunner(t, 1000, 4)
-	// 12 cold misses in rapid succession: gap never exceeded, but the
-	// MSHR cap of 4 splits them into 3 groups.
+	r := mkWindowRunner(t)
+	// 3*maxMLP cold misses in rapid succession: gap never exceeded, but
+	// the MSHR cap splits them into 3 groups.
 	seq := uint64(1)
-	for i := 0; i < 12; i++ {
+	for i := 0; i < 3*maxMLP; i++ {
 		r.Step(trace.Record{Seq: seq, PC: 0x400, Addr: mem.Addr(0x100000 + i*64)})
 		seq += 2
 	}
 	r.finish()
 	_, offGroups := sumWindows(&r.res)
 	if offGroups != 3 {
-		t.Fatalf("offGroups = %d, want 3 (12 misses / cap 4)", offGroups)
+		t.Fatalf("offGroups = %d, want 3 (%d misses / cap %d)", offGroups, 3*maxMLP, maxMLP)
 	}
 }
 
 func TestWindowPerCPUGrouping(t *testing.T) {
 	// Misses on different CPUs never share a group (each core has its
 	// own MSHRs).
-	r := mkWindowRunner(t, 1000, 1000)
+	r := mkWindowRunner(t)
 	seq := uint64(1)
 	for i := 0; i < 4; i++ {
 		r.Step(trace.Record{Seq: seq, PC: 0x400, CPU: uint8(i % 2), Addr: mem.Addr(0x100000 + i*64)})
@@ -92,7 +91,7 @@ func TestWindowPerCPUGrouping(t *testing.T) {
 }
 
 func TestWindowBoundaries(t *testing.T) {
-	r := mkWindowRunner(t, 50, 16)
+	r := mkWindowRunner(t)
 	// Records spanning 3 windows of 1000 instructions.
 	for seq := uint64(1); seq < 3000; seq += 100 {
 		r.Step(trace.Record{Seq: seq, PC: 0x400, Addr: mem.Addr(0x200000 + seq*64)})

@@ -53,7 +53,13 @@ import (
 // sampling scope, changing both hashed serializations. Exact results are
 // unchanged, but pre-/3 store objects are unreachable under the new
 // addresses.
-const VersionSalt = "sms-repro/3"
+//
+// /4: sim.Config lost OverlapGap and MaxMLP, and a built-in scheme's
+// canonical config keeps only its own sub-config, changing the hashed
+// run identity. The GHB stats' ChainLength now counts the entries walked
+// up to the delta match, so stored GHB results differ in that field;
+// every other result is unchanged.
+const VersionSalt = "sms-repro/4"
 
 // Object kinds (also the on-disk subdirectory names).
 const (

@@ -5,7 +5,11 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/ghb"
+	"repro/internal/sectored"
 	"repro/internal/sim"
+	"repro/internal/stride"
 	"repro/internal/workload"
 )
 
@@ -27,7 +31,7 @@ func tinyResult(t testing.TB) *sim.Result {
 func TestForRunCanonicalizes(t *testing.T) {
 	wcfg := workload.Config{CPUs: 4, Seed: 1}
 	// Implicit and explicit defaults must address the same object.
-	a := ForRun("sparse", wcfg, sim.Config{PrefetcherName: "sms", StreamRate: sim.DefaultStreamRate, OverlapGap: sim.DefaultOverlapGap})
+	a := ForRun("sparse", wcfg, sim.Config{PrefetcherName: "sms", StreamRate: sim.DefaultStreamRate, SMS: core.Config{PHTEntries: core.DefaultPHTEntries}})
 	b := ForRun("sparse", wcfg, sim.Config{PrefetcherName: "sms"})
 	c := ForRun("sparse", wcfg, sim.Config{PrefetcherName: "sms", StreamRate: sim.DefaultStreamRate})
 	d := ForRun("sparse", wcfg.Canonical(), sim.Config{PrefetcherName: "sms"})
@@ -44,6 +48,33 @@ func TestForRunCanonicalizes(t *testing.T) {
 	} {
 		if other == a {
 			t.Errorf("changing %s did not change the key", name)
+		}
+	}
+}
+
+// TestForRunKeysOwnSchemeOnly: a built-in scheme's key hashes only its
+// own sub-config, so changing another built-in's sub-config moves neither
+// the canonical config nor the key, while changing its own moves both.
+func TestForRunKeysOwnSchemeOnly(t *testing.T) {
+	wcfg := workload.Config{CPUs: 4, Seed: 1}
+	others := map[string]func(*sim.Config){
+		"sms":    func(c *sim.Config) { c.SMS = core.Config{PHTEntries: 1024, Index: core.IndexPC} },
+		"ls":     func(c *sim.Config) { c.LS = sectored.Config{PHTEntries: -1, Assoc: 4} },
+		"ghb":    func(c *sim.Config) { c.GHB = ghb.Config{HistoryEntries: 16384, Degree: 8} },
+		"stride": func(c *sim.Config) { c.Stride = stride.Config{Entries: 64, Degree: 3} },
+	}
+	for _, name := range []string{"none", "sms", "ls", "ghb", "stride"} {
+		base := sim.Config{PrefetcherName: name}
+		key := ForRun("sparse", wcfg, base)
+		for other, set := range others {
+			cfg := base
+			set(&cfg)
+			sameKey := ForRun("sparse", wcfg, cfg) == key
+			sameCanonical := cfg.Canonical() == base.Canonical()
+			if own := other == name; sameKey == own || sameCanonical == own {
+				t.Errorf("%s run, %s sub-config changed: same key %v, same canonical %v; want %v",
+					name, other, sameKey, sameCanonical, !own)
+			}
 		}
 	}
 }

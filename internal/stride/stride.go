@@ -48,7 +48,10 @@ type Config struct {
 	BlockSize int
 }
 
-func (c Config) withDefaults() Config {
+// Canonical returns the configuration with every default resolved. It is
+// the only resolution: New builds from exactly this form, and it is the
+// idempotent form the result store hashes.
+func (c Config) Canonical() Config {
 	if c.Entries == 0 {
 		c.Entries = 512
 	}
@@ -61,13 +64,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Canonical returns the configuration with every default resolved — the
-// idempotent form the result store hashes.
-func (c Config) Canonical() Config { return c.withDefaults() }
-
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	c = c.withDefaults()
+	c = c.Canonical()
 	if c.Entries < 1 {
 		return fmt.Errorf("stride: entries %d", c.Entries)
 	}
@@ -105,7 +104,7 @@ func New(cfg Config) (*Prefetcher, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.Canonical()
 	return &Prefetcher{cfg: cfg, table: make([]entry, cfg.Entries)}, nil
 }
 

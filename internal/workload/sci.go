@@ -21,8 +21,10 @@ import (
 //   - ocean: near-complete region density (the narrow 32-block Fig. 5
 //     profile) over several grid arrays, with writes to the destination;
 //   - sparse: dense matrix/value streaming plus per-row gather reads whose
-//     targets are fixed across iterations, giving the highest coverage in
-//     the suite (92% in the paper, 4.07x speedup).
+//     targets are fixed across iterations, so SMS covers most of its
+//     misses (92% in the paper, 4.07x speedup). The reproduction reads
+//     84.8% at the default length, below ocean's 96.9% (EXPERIMENTS.md,
+//     Fig. 11); TestFig11ShapeQuick guards a floor of 50%.
 
 const (
 	sciWorkloadEm3d = iota + 30
