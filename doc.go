@@ -44,7 +44,8 @@
 // A run's configuration is resolved in one place, sim.Config.Canonical:
 // sim.NewRunner builds every engine from that canonical form and the
 // result store hashes it, so a run's key names what was simulated. A
-// built-in scheme's canonical config keeps only its own sub-config.
+// scheme's canonical config keeps only the sub-configs its registration
+// says it reads (sim.RegisterReading): a built-in its own, nextline none.
 //
 // See README.md for a tour and EXPERIMENTS.md for paper-vs-measured
 // results.

@@ -12,12 +12,14 @@ package engine
 // starts every cell at once instead, since the coordinator places
 // standard runs on its workers, not in local slots.
 //
-// The order also bounds the trace memo: each queued or running cell
-// holds its workload's memo entry (traceCache.hold), and the entry is
-// dropped as soon as the last holder settles. A grid therefore keeps two
-// or three traces in memory at a time. A later run of the workload
-// replays the store's trace tier when a store is attached, and
-// regenerates the trace otherwise.
+// The order also keeps the trace memo small: each queued or running
+// cell holds its workload's memo entry (traceCache.hold), and the entry
+// is dropped as soon as the last holder settles, so a grid needs the
+// traces of two or three workloads at a time. The memo's hard budget
+// bounds what it keeps: a trace that would not fit beside the held ones
+// streams from the generator. A later run of the workload replays the
+// store's trace tier when a store is attached, and regenerates the
+// trace otherwise.
 
 // gridCell is one cell of an executing plan: a deduplicated standard run
 // (n) or a custom cell (the index into Plan.Customs).

@@ -5,7 +5,6 @@ import (
 	"io"
 	"sync"
 	"time"
-	"unsafe"
 
 	"repro/internal/mem"
 	"repro/internal/obs"
@@ -17,64 +16,62 @@ import (
 // The engine serves every run's trace, and every custom cell's, through
 // a two-level cache:
 //
-//  1. An in-memory memo (traceCache): the generated record slice, keyed
-//     by workload name. Every run an engine executes uses the same
-//     workload.Config, so all variants of one workload in a grid consume
-//     byte-identical record sequences; generating once and replaying
-//     from memory removes the generator (and its random-number stream)
-//     from all but the first run. The memo is byte-bounded, and entries
+//  1. An in-memory memo (traceCache): the generated trace, packed at 16
+//     bytes a record (trace.Packed), keyed by workload name. Every run an
+//     engine executes uses the same workload.Config, so all variants of
+//     one workload in a grid consume byte-identical record sequences;
+//     generating once and replaying from memory removes the generator
+//     (and its random-number stream) from all but the first run. Entries
 //     are single-flight: concurrent workers requesting the same workload
 //     block until the first finishes generating. An entry lives only
-//     while a queued or running cell of its workload holds it
-//     (hold/release): grids run their cells workload by workload
-//     (admission.go), so a figure holds two or three traces at a time.
+//     while a queued or running cell of its workload, or a bare run,
+//     holds it (hold/release): grids run their cells workload by
+//     workload (admission.go), so a figure holds few traces at a time.
 //     Reuse across grids and bare runs is the store's job: with one
 //     attached, a later run replays the disk tier; without one, it
 //     generates the trace again.
 //
+//     The memo's byte budget is hard. A generation reserves its trace's
+//     packed size before it starts and gets it back when the last holder
+//     releases the workload; a trace that would not fit beside the traces
+//     already reserved streams from the generator instead, and so does a
+//     trace that does not pack (a PC of 2^32 or more, a Seq step of 2^16
+//     or more). Such runs still replay from the disk tier when a v2
+//     artifact exists — bulk captures made with `smstrace gen -store`
+//     mmap-replay at any size, which is how a grid scales past RAM.
+//
 //  2. A disk tier (with a store attached): generated traces are written
 //     through as content-addressed v2 files (store.ForTrace — workload
-//     name + canonical generation config) and replayed by mmap
-//     (trace.MappedSource) on any later miss of the memo — including in
-//     a fresh process, so a warm store means TraceGenerations == 0
-//     across restarts. Replay is zero-copy: blocks decode straight from
-//     the mapping into a per-run reused buffer. Each replaying run maps
-//     the artifact itself and unmaps it when the run ends, so a
-//     long-lived engine holds no mapping between runs.
-//
-// Traces longer than the memo budget always stream from the generator
-// (so production-scale runs never bloat the daemon) but still replay
-// from the disk tier when a v2 artifact exists — bulk captures made
-// with `smstrace gen -store` mmap-replay at any size, which is how a
-// grid scales past RAM.
+//     name + canonical generation config), streamed from the packed
+//     trace, and replayed by mmap (trace.MappedSource) on any later miss
+//     of the memo — including in a fresh process, so a warm store means
+//     TraceGenerations == 0 across restarts. Replay is zero-copy: blocks
+//     decode straight from the mapping into a per-run reused buffer.
+//     Each replaying run maps the artifact itself and unmaps it when the
+//     run ends, so a long-lived engine holds no mapping between runs.
 //
 // Trace-file workloads (workload.External, the trace: family) are
 // already file replays; they bypass both levels.
 type traceCache struct {
-	mu     sync.Mutex
-	budget int64
-	used   int64
-	// entries holds each workload's generated trace, or its generation
-	// in flight. Allocated by the first generate.
+	mu       sync.Mutex
+	budget   int64
+	reserved int64 // packed bytes of the entries, generated or in flight
+	// entries holds each workload's packed trace, or its generation in
+	// flight. Allocated by the first generate.
 	entries map[string]*traceEntry
-	order   []string
 	// holders counts each workload's queued and running cells: the last
 	// release drops the workload's entry. Allocated by the first hold.
 	holders map[string]int
 }
 
 type traceEntry struct {
-	done chan struct{}
-	recs []trace.Record
-	size int64
-	ok   bool // false: generation failed to fit or was abandoned
+	done   chan struct{}
+	packed *trace.Packed // nil: generation failed or did not pack
+	size   int64         // bytes reserved for the trace
 }
 
-// recordBytes is the in-memory footprint of one trace.Record.
-const recordBytes = int64(unsafe.Sizeof(trace.Record{}))
-
-// traceMemoBytes bounds every engine's in-memory trace memo: room
-// for a handful of default-length (2M-record) traces.
+// traceMemoBytes bounds every engine's in-memory trace memo: room for
+// eight default-length (2M-record) traces, or one of 16M records.
 const traceMemoBytes = 256 << 20
 
 // hold registers a queued cell that will read name's trace.
@@ -88,7 +85,8 @@ func (tc *traceCache) hold(name string) {
 }
 
 // release settles one holder of name's trace. The last one drops the
-// completed memo entry; an in-flight generation is left alone.
+// completed memo entry and gives its bytes back; an entry still
+// generating is dropped by generate when it completes.
 func (tc *traceCache) release(name string) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
@@ -106,37 +104,28 @@ func (tc *traceCache) release(name string) {
 		return
 	}
 	delete(tc.entries, name)
-	tc.used -= ent.size
-	for i, n := range tc.order {
-		if n == name {
-			tc.order = append(tc.order[:i], tc.order[i+1:]...)
-			break
-		}
-	}
+	tc.reserved -= ent.size
 }
 
 // lookup reports the memo's state for name: a completed entry to
 // replay, or an in-flight generation the caller should join (via
 // generate) instead of probing the disk tier — probing while the
 // leader generates would count one logical miss once per worker.
-func (tc *traceCache) lookup(name string) (ent *traceEntry, completed, inflight bool) {
+// Completed entries always hold a packed trace: a failed generation
+// leaves the memo before it completes.
+func (tc *traceCache) lookup(name string) (ent *traceEntry, inflight bool) {
 	tc.mu.Lock()
 	ent, ok := tc.entries[name]
 	tc.mu.Unlock()
 	if !ok {
-		return nil, false, false
+		return nil, false
 	}
 	select {
 	case <-ent.done:
-		return ent, ent.ok, false
+		return ent, false
 	default:
-		return nil, false, true
+		return nil, true
 	}
-}
-
-// fits reports whether a trace of the given record count is admissible.
-func (tc *traceCache) fits(length uint64) bool {
-	return length <= uint64(tc.budget/recordBytes)
 }
 
 // traceSource returns a trace source for the workload of one run, and
@@ -150,20 +139,14 @@ func (e *Engine) traceSource(w workload.Workload) (trace.Source, bool) {
 		return w.Make(cfg), false
 	}
 
-	ent, completed, inflight := e.traces.lookup(w.Name)
-	if completed {
-		return trace.NewSliceSource(ent.recs), false
+	ent, inflight := e.traces.lookup(w.Name)
+	if ent != nil {
+		return ent.packed.NewSource(), false
 	}
 	if !inflight {
 		if src, ok := e.tierSource(w); ok {
 			return src, false
 		}
-	}
-	if !e.traces.fits(cfg.Canonical().Length) {
-		// Too long to capture in memory: stream straight from the
-		// generator. (Bulk captures enter the disk tier via
-		// `smstrace gen -store`, not through the engine.)
-		return w.Make(cfg), true
 	}
 	return e.generate(w, cfg)
 }
@@ -223,83 +206,71 @@ func closeSource(src trace.Source) {
 }
 
 // generate runs the workload generator under the memo's single-flight
-// lock, captures the trace in memory, and writes it through to the disk
-// tier (best effort) so later processes replay instead of regenerating.
+// lock, packs the trace in memory within the memo's budget, and writes
+// it through to the disk tier (best effort) so later processes replay
+// instead of regenerating. A trace that does not fit beside the traces
+// already reserved, or does not pack, streams from the generator.
 func (e *Engine) generate(w workload.Workload, cfg workload.Config) (trace.Source, bool) {
 	tc := &e.traces
+	length := cfg.Canonical().Length
+	size := trace.PackedBytes(length)
 	tc.mu.Lock()
 	if ent, ok := tc.entries[w.Name]; ok {
 		tc.mu.Unlock()
 		<-ent.done
-		if ent.ok {
-			return trace.NewSliceSource(ent.recs), false
+		if ent.packed != nil {
+			return ent.packed.NewSource(), false
 		}
 		return w.Make(cfg), true
 	}
-	ent := &traceEntry{done: make(chan struct{})}
+	if tc.reserved+size > tc.budget {
+		tc.mu.Unlock()
+		return w.Make(cfg), true
+	}
+	ent := &traceEntry{done: make(chan struct{}), size: size}
 	if tc.entries == nil {
 		tc.entries = make(map[string]*traceEntry)
 	}
 	tc.entries[w.Name] = ent
+	tc.reserved += size
 	tc.mu.Unlock()
 
-	// If the generator panics, drop the entry and release followers (who
-	// see ok=false and generate for themselves) before propagating.
-	released := false
-	defer func() {
-		if !ent.ok {
-			tc.mu.Lock()
-			delete(tc.entries, w.Name)
-			tc.mu.Unlock()
-		}
-		if !released {
-			close(ent.done)
-		}
+	// Followers are released before the disk write-through, which can
+	// take seconds on slow storage while their runs need only the packed
+	// records, immutable from here. The deferred completion runs even if
+	// the generator panics, so no follower waits forever.
+	var p *trace.Packed
+	func() {
+		defer func() { tc.complete(w.Name, ent, p) }()
+		p, _ = trace.Pack(w.Make(cfg), length)
 	}()
-
-	length := cfg.Canonical().Length
-	recs := make([]trace.Record, length)
-	src := trace.Batched(w.Make(cfg))
-	total := 0
-	for total < len(recs) {
-		// The BatchSource contract allows short non-zero reads; only a
-		// zero return means exhaustion.
-		n := src.NextBatch(recs[total:])
-		if n == 0 {
-			break
-		}
-		total += n
+	if p == nil {
+		return w.Make(cfg), true
 	}
-	ent.recs = recs[:total]
-	ent.size = int64(total) * recordBytes
-	ent.ok = true
-	// Release the singleflight followers before the disk write-through:
-	// the tier write can take seconds on slow storage, and their runs
-	// only need the in-memory records (which are immutable from here).
-	released = true
-	close(ent.done)
-
-	tc.mu.Lock()
-	tc.used += ent.size
-	tc.order = append(tc.order, w.Name)
-	for tc.used > tc.budget && len(tc.order) > 1 {
-		oldest := tc.order[0]
-		tc.order = tc.order[1:]
-		if old, ok := tc.entries[oldest]; ok && old != ent {
-			tc.used -= old.size
-			delete(tc.entries, oldest)
-		}
-	}
-	tc.mu.Unlock()
-
-	e.persistTrace(w.Name, ent.recs)
-	return trace.NewSliceSource(ent.recs), true
+	e.persistTrace(w.Name, p)
+	return p.NewSource(), true
 }
 
-// persistTrace writes a freshly generated trace into the disk tier. The
-// tier is a cache: failures are ignored — the worst outcome is a
-// regeneration in some later process.
-func (e *Engine) persistTrace(name string, recs []trace.Record) {
+// complete publishes a generation's trace (nil if it failed or did not
+// pack) and releases its followers. A failed generation, or one whose
+// last holder left meanwhile, leaves the memo and gives its bytes back;
+// followers already waiting still replay a trace that packed.
+func (tc *traceCache) complete(name string, ent *traceEntry, p *trace.Packed) {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	ent.packed = p
+	if p == nil || tc.holders[name] == 0 {
+		delete(tc.entries, name)
+		tc.reserved -= ent.size
+	}
+	close(ent.done)
+}
+
+// persistTrace writes a freshly generated trace into the disk tier,
+// streaming it from the packed records. The tier is a cache: failures
+// are ignored — the worst outcome is a regeneration in some later
+// process.
+func (e *Engine) persistTrace(name string, p *trace.Packed) {
 	st := e.cfg.Store
 	if st == nil {
 		return
@@ -313,5 +284,5 @@ func (e *Engine) persistTrace(name string, recs []trace.Record) {
 		Geometry: mem.DefaultGeometry(),
 		Workload: name,
 	}
-	_ = st.PutTraceRecords(key, hdr, recs)
+	_ = st.PutTrace(key, hdr, p.NewSource())
 }

@@ -73,7 +73,7 @@ func TestTraceMemoGeneratesOncePerWorkload(t *testing.T) {
 // every time and is never cached.
 func TestTraceMemoBudget(t *testing.T) {
 	wcfg := workload.Config{CPUs: 2, Seed: 5, Length: 20_000}
-	size := int64(wcfg.Canonical().Length) * recordBytes
+	size := trace.PackedBytes(wcfg.Canonical().Length)
 	e := New(Config{Workload: wcfg})
 	e.traces.budget = size - 1
 	plan := Plan{
@@ -124,5 +124,159 @@ func TestTraceMemoSingleflight(t *testing.T) {
 	}
 	if n != 1 {
 		t.Fatalf("%d goroutines generated, want exactly 1", n)
+	}
+}
+
+// memoReserved reads the memo's reserved bytes and entry count.
+func memoReserved(e *Engine) (reserved int64, entries int) {
+	e.traces.mu.Lock()
+	defer e.traces.mu.Unlock()
+	return e.traces.reserved, len(e.traces.entries)
+}
+
+// TestTraceMemoBudgetIsHard: with a budget sized for two traces, a third
+// held workload streams from the generator until a held trace is
+// released, and the reserved bytes never exceed the budget.
+func TestTraceMemoBudgetIsHard(t *testing.T) {
+	wcfg := workload.Config{CPUs: 2, Seed: 5, Length: 20_000}
+	size := trace.PackedBytes(wcfg.Length)
+	e := New(Config{Workload: wcfg})
+	e.traces.budget = 2*size + size/2
+	names := []string{"oltp-db2", "dss-q1", "sparse"}
+	check := func(when string, want int64) {
+		t.Helper()
+		if got, _ := memoReserved(e); got != want || got > e.traces.budget {
+			t.Fatalf("%s: reserved %d bytes, want %d (budget %d)", when, got, want, e.traces.budget)
+		}
+	}
+	open := func(name string, packed bool) {
+		t.Helper()
+		w, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, generated := e.traceSource(w)
+		if _, ok := src.(*trace.PackedSource); ok != packed || !generated {
+			t.Fatalf("%s: packed %v, generated %v; want packed %v, generated", name, ok, generated, packed)
+		}
+	}
+	for _, name := range names {
+		e.traces.hold(name)
+		check("hold "+name, 0)
+	}
+	open("oltp-db2", true)
+	check("first trace", size)
+	open("dss-q1", true)
+	check("second trace", 2*size)
+	open("sparse", false)
+	check("third trace streams", 2*size)
+	e.traces.release("oltp-db2")
+	check("release oltp-db2", size)
+	open("sparse", true)
+	check("third trace after a release", 2*size)
+	e.traces.release("dss-q1")
+	check("release dss-q1", size)
+	e.traces.release("sparse")
+	check("release sparse", 0)
+}
+
+// TestHardBudgetGrid: a grid whose three workloads' cells hold their
+// traces at once under a budget sized for two packs two of them and
+// streams the third, never reserves past the budget, and keeps every
+// Result byte-equal to a generator-fed runner's.
+func TestHardBudgetGrid(t *testing.T) {
+	wcfg := workload.Config{CPUs: 2, Seed: 5, Length: 20_000}
+	size := trace.PackedBytes(wcfg.Length)
+	e := New(Config{Workload: wcfg, Parallel: 3})
+	e.traces.budget = 2*size + size/2
+	cfg := sim.Config{PrefetcherName: "sms", WarmupAccesses: wcfg.Length / 2}
+
+	var (
+		mu      sync.Mutex
+		packed  int
+		arrived sync.WaitGroup
+	)
+	arrived.Add(3)
+	plan := Plan{Name: "hard-budget"}
+	for _, name := range []string{"oltp-db2", "dss-q1", "sparse"} {
+		plan.Customs = append(plan.Customs, Custom{Workload: name, Key: "sms",
+			Run: func(ctx context.Context, src trace.Source) (any, error) {
+				if _, ok := src.(*trace.PackedSource); ok {
+					mu.Lock()
+					packed++
+					mu.Unlock()
+				}
+				// All three cells hold their traces before any runs.
+				arrived.Done()
+				arrived.Wait()
+				if got, _ := memoReserved(e); got > e.traces.budget {
+					t.Errorf("reserved %d bytes past the %d-byte budget", got, e.traces.budget)
+				}
+				runner, err := sim.NewRunner(cfg)
+				if err != nil {
+					return nil, err
+				}
+				return json.Marshal(runner.Run(src))
+			}})
+	}
+	grid, err := e.Execute(context.Background(), plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if packed != 2 || e.TraceGenerations() != 3 {
+		t.Errorf("%d packed replays, %d generations; want 2 and 3", packed, e.TraceGenerations())
+	}
+	if reserved, entries := memoReserved(e); reserved != 0 || entries != 0 {
+		t.Errorf("after the grid: %d bytes reserved by %d entries", reserved, entries)
+	}
+	for _, cu := range plan.Customs {
+		w, err := workload.ByName(cu.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runner, err := sim.NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(runner.Run(w.Make(wcfg)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := grid.Custom(cu.Workload, cu.Key).([]byte); !bytes.Equal(got, want) {
+			t.Errorf("%s: grid Result differs from a generator-fed run", cu.Workload)
+		}
+	}
+}
+
+// TestUnpackableTraceStreams: a trace with a PC of 2^32 or more, or a
+// Seq step of 2^16 or more, streams from the generator and leaves no
+// memo entry or reservation behind.
+func TestUnpackableTraceStreams(t *testing.T) {
+	const n = 10_000
+	for name, widen := range map[string]func(*trace.Record){
+		"wide-pc":   func(r *trace.Record) { r.PC = 1 << 32 },
+		"wide-step": func(r *trace.Record) { r.Seq += 1 << 16 },
+	} {
+		recs := make([]trace.Record, n)
+		for i := range recs {
+			recs[i] = trace.Record{Seq: uint64(i) * 3, PC: 0x400000, Addr: 1 << 30, CPU: uint8(i % 2)}
+		}
+		for i := n / 2; i < n; i++ {
+			widen(&recs[i])
+		}
+		w := workload.Workload{Name: name, Make: func(workload.Config) trace.Source { return trace.NewSliceSource(recs) }}
+		e := New(Config{Workload: workload.Config{CPUs: 2, Length: n}})
+		e.traces.hold(name)
+		src, generated := e.traceSource(w)
+		if _, packed := src.(*trace.PackedSource); packed || !generated {
+			t.Fatalf("%s: packed %v, generated %v; want a generator stream", name, packed, generated)
+		}
+		if got := trace.Collect(src, 0); len(got) != n || got[n-1] != recs[n-1] {
+			t.Fatalf("%s: streamed %d records ending %v", name, len(got), got[len(got)-1])
+		}
+		if reserved, entries := memoReserved(e); reserved != 0 || entries != 0 {
+			t.Fatalf("%s: %d bytes reserved by %d memo entries, want none", name, reserved, entries)
+		}
+		e.traces.release(name)
 	}
 }

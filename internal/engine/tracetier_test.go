@@ -115,7 +115,7 @@ func TestTraceTierServesOverBudgetTraces(t *testing.T) {
 	}
 	// A one-record memo budget: every trace is over budget.
 	tiny := New(Config{Workload: wcfg, Store: st2})
-	tiny.traces.budget = recordBytes
+	tiny.traces.budget = trace.PackedBytes(1)
 	if _, err := tiny.Execute(context.Background(), tierPlan("over-budget", "sms", "ghb")); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestTierArtifactCPUsBoundRecords(t *testing.T) {
 	// A header claiming four CPUs is not served: the run generates.
 	st := openStore(t, t.TempDir())
 	hdr := trace.Header{CPUs: 4, Workload: name, WorkloadHash: key}
-	if err := st.PutTraceRecords(key, hdr, trace.Collect(w.Make(wcfg), 0)); err != nil {
+	if err := st.PutTrace(key, hdr, trace.NewSliceSource(trace.Collect(w.Make(wcfg), 0))); err != nil {
 		t.Fatal(err)
 	}
 	e := New(Config{Workload: wcfg, Store: st})
@@ -172,7 +172,7 @@ func TestTierArtifactCPUsBoundRecords(t *testing.T) {
 	recs := trace.Collect(w.Make(wcfg), 0)
 	recs[len(recs)/2].CPU = 2
 	hdr.CPUs = 3
-	if err := st.PutTraceRecords(key, hdr, recs); err != nil {
+	if err := st.PutTrace(key, hdr, trace.NewSliceSource(recs)); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "traces", key[:2], key+".smst")

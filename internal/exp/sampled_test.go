@@ -231,7 +231,7 @@ func TestDSCellFailsOnCorruptTierArtifact(t *testing.T) {
 			recs := trace.Collect(w.Make(wcfg), 0)
 			tc.records(recs)
 			hdr := trace.Header{CPUs: tc.cpus, Workload: name, WorkloadHash: key}
-			if err := st.PutTraceRecords(key, hdr, recs); err != nil {
+			if err := st.PutTrace(key, hdr, trace.NewSliceSource(recs)); err != nil {
 				t.Fatal(err)
 			}
 			path := filepath.Join(st.Dir(), "traces", key[:2], key+".smst")

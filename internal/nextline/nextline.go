@@ -2,7 +2,7 @@
 // L1 demand miss schedules the N consecutive blocks after the miss
 // address for streaming into L1. It is the simplest useful prefetcher and
 // serves as the floor baseline for the spatial schemes — and as the proof
-// that new schemes plug into the simulator through sim.Register alone,
+// that new schemes plug into the simulator through sim registration alone,
 // without touching the simulator core.
 //
 // Importing this package registers the scheme under the name "nextline".
@@ -135,7 +135,8 @@ func (p *Prefetcher) Invalidated(mem.Addr) {}
 func (p *Prefetcher) Stats() any { return p.stats }
 
 func init() {
-	sim.Register(Name, func(cfg sim.Config) (sim.Prefetcher, error) {
+	// The engine reads only the run's L1 block size: no sub-config.
+	sim.RegisterReading(Name, 0, func(cfg sim.Config) (sim.Prefetcher, error) {
 		return New(Config{BlockSize: cfg.Coherence.L1.BlockSize})
 	})
 }

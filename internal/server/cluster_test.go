@@ -398,8 +398,8 @@ func TestOversizedCellRefused(t *testing.T) {
 
 	// A cell is charged only for the tables its scheme builds: a
 	// 2^22-entry GHB history (160 MiB per CPU) sinks a ghb cell, while a
-	// none cell that never allocates it is accepted and runs.
-	for name, want := range map[string]int{"ghb": http.StatusBadRequest, "none": http.StatusOK} {
+	// none or nextline cell that never allocates it is accepted and runs.
+	for name, want := range map[string]int{"ghb": http.StatusBadRequest, "none": http.StatusOK, "nextline": http.StatusOK} {
 		cfg := sess.Options().BaselineConfig()
 		cfg.PrefetcherName = name
 		cfg.GHB.HistoryEntries = 1 << 22

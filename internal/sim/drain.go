@@ -14,9 +14,11 @@ type drain struct {
 	r   *Runner
 	src trace.Source
 
-	// view is the source's NextView for in-memory sources (engine trace
-	// memo replays), which are consumed in place. It is nil for every
-	// other source, whose batches are copied through bs into r.batch.
+	// view is the source's NextView for sources that hand out batches in
+	// a buffer of their own: engine trace memo replays unpack into one,
+	// mmap'd v2 replays decode into one, in-memory slices alias their
+	// records. It is nil for every other source, whose batches are
+	// copied through bs into r.batch.
 	view func(max int) []trace.Record
 	bs   trace.BatchSource
 

@@ -61,16 +61,47 @@ type Prefetcher interface {
 // baseline system.
 type Constructor func(cfg Config) (Prefetcher, error)
 
+// SubConfigs is a set of the built-in predictors' sub-configs
+// (Config.SMS, LS, GHB and Stride) that a scheme's constructor reads.
+// Config.Canonical zeroes every other one, so a run's store key and the
+// tables it is charged for up front cover only what its scheme builds.
+type SubConfigs uint8
+
+const (
+	// ReadsSMS marks a constructor that reads Config.SMS.
+	ReadsSMS SubConfigs = 1 << iota
+	// ReadsLS marks a constructor that reads Config.LS.
+	ReadsLS
+	// ReadsGHB marks a constructor that reads Config.GHB.
+	ReadsGHB
+	// ReadsStride marks a constructor that reads Config.Stride.
+	ReadsStride
+	// ReadsAll is every sub-config: what Register assumes.
+	ReadsAll = ReadsSMS | ReadsLS | ReadsGHB | ReadsStride
+)
+
+// scheme is one registration.
+type scheme struct {
+	ctor  Constructor
+	reads SubConfigs
+}
+
 var registry = struct {
 	sync.RWMutex
-	ctors map[string]Constructor
-}{ctors: make(map[string]Constructor)}
+	schemes map[string]scheme
+}{schemes: make(map[string]scheme)}
 
 // Register makes a prefetcher scheme available under name (as used by
-// Config.PrefetcherName and the CLIs). It is intended to be
-// called from package init; it panics on an empty name or a duplicate
-// registration, which is always a programming error.
-func Register(name string, ctor Constructor) {
+// Config.PrefetcherName and the CLIs), with a constructor that may read
+// every sub-config. It is intended to be called from package init; it
+// panics on an empty name or a duplicate registration, which is always a
+// programming error.
+func Register(name string, ctor Constructor) { RegisterReading(name, ReadsAll, ctor) }
+
+// RegisterReading is Register for a constructor that reads only the
+// sub-configs in reads: a run of the scheme keeps no other, so it is not
+// keyed on settings it never uses.
+func RegisterReading(name string, reads SubConfigs, ctor Constructor) {
 	if name == "" {
 		panic("sim: Register with empty prefetcher name")
 	}
@@ -79,62 +110,30 @@ func Register(name string, ctor Constructor) {
 	}
 	registry.Lock()
 	defer registry.Unlock()
-	if _, dup := registry.ctors[name]; dup {
+	if _, dup := registry.schemes[name]; dup {
 		panic(fmt.Sprintf("sim: prefetcher %q registered twice", name))
 	}
-	registry.ctors[name] = ctor
+	registry.schemes[name] = scheme{ctor, reads}
 }
 
 // Names returns the registered scheme names in sorted order.
 func Names() []string {
 	registry.RLock()
 	defer registry.RUnlock()
-	out := make([]string, 0, len(registry.ctors))
-	for name := range registry.ctors {
+	out := make([]string, 0, len(registry.schemes))
+	for name := range registry.schemes {
 		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// lookup resolves a registered constructor.
-func lookup(name string) (Constructor, error) {
+// lookup resolves a registered scheme.
+func lookup(name string) (scheme, bool) {
 	registry.RLock()
-	ctor, ok := registry.ctors[name]
-	registry.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("sim: unknown prefetcher %q (registered: %v)", name, Names())
-	}
-	return ctor, nil
-}
-
-// builtins are the schemes this package registers. Each builds from its
-// own sub-config exactly as Config.Canonical resolved it, and own copies
-// that sub-config, the only one its run's key keeps.
-var builtins = map[string]struct {
-	ctor Constructor
-	own  func(dst *Config, src Config)
-}{
-	"none": {
-		ctor: func(Config) (Prefetcher, error) { return nil, nil },
-		own:  func(*Config, Config) {},
-	},
-	"sms": {
-		ctor: func(cfg Config) (Prefetcher, error) { return engine(core.NewSimPrefetcher(cfg.SMS)) },
-		own:  func(dst *Config, src Config) { dst.SMS = src.SMS },
-	},
-	"ls": {
-		ctor: func(cfg Config) (Prefetcher, error) { return engine(sectored.NewSimPrefetcher(cfg.LS)) },
-		own:  func(dst *Config, src Config) { dst.LS = src.LS },
-	},
-	"ghb": {
-		ctor: func(cfg Config) (Prefetcher, error) { return engine(ghb.NewSimPrefetcher(cfg.GHB)) },
-		own:  func(dst *Config, src Config) { dst.GHB = src.GHB },
-	},
-	"stride": {
-		ctor: func(cfg Config) (Prefetcher, error) { return engine(stride.NewSimPrefetcher(cfg.Stride)) },
-		own:  func(dst *Config, src Config) { dst.Stride = src.Stride },
-	},
+	defer registry.RUnlock()
+	s, ok := registry.schemes[name]
+	return s, ok
 }
 
 // engine hands a built-in adapter to the runner as a Prefetcher, keeping
@@ -146,8 +145,12 @@ func engine[P Prefetcher](p P, err error) (Prefetcher, error) {
 	return p, nil
 }
 
+// The built-in schemes each build from their own sub-config exactly as
+// Config.Canonical resolved it.
 func init() {
-	for name, b := range builtins {
-		Register(name, b.ctor)
-	}
+	RegisterReading("none", 0, func(Config) (Prefetcher, error) { return nil, nil })
+	RegisterReading("sms", ReadsSMS, func(cfg Config) (Prefetcher, error) { return engine(core.NewSimPrefetcher(cfg.SMS)) })
+	RegisterReading("ls", ReadsLS, func(cfg Config) (Prefetcher, error) { return engine(sectored.NewSimPrefetcher(cfg.LS)) })
+	RegisterReading("ghb", ReadsGHB, func(cfg Config) (Prefetcher, error) { return engine(ghb.NewSimPrefetcher(cfg.GHB)) })
+	RegisterReading("stride", ReadsStride, func(cfg Config) (Prefetcher, error) { return engine(stride.NewSimPrefetcher(cfg.Stride)) })
 }

@@ -96,10 +96,11 @@ const DefaultStreamRate = 4
 // The sub-configs' run-dependent fields are derived here and nowhere
 // else: their geometry from the run, the LS cache size from the L1 size
 // (unless set), and the GHB and stride block size from the L1 block size.
-// A built-in scheme keeps only its own sub-config and "none" keeps none,
-// so one scheme's defaults never enter another's key. A scheme registered
-// from outside keeps all four resolved, since its constructor may read
-// any of them.
+// A scheme keeps only the sub-configs its registration says it reads
+// (RegisterReading): a built-in its own, "none" and "nextline" none, so
+// one scheme's defaults never enter another's key. A scheme registered
+// through Register, or not registered at all, keeps all four resolved,
+// since its constructor may read any of them.
 func (c Config) Canonical() Config {
 	if c.PrefetcherName == "" {
 		c.PrefetcherName = "none"
@@ -127,10 +128,21 @@ func (c Config) Canonical() Config {
 	c.Stride.BlockSize = c.Coherence.L1.BlockSize
 	c.Stride = c.Stride.Canonical()
 
-	if b, ok := builtins[c.PrefetcherName]; ok {
-		resolved := c
-		c.SMS, c.LS, c.GHB, c.Stride = core.Config{}, sectored.Config{}, ghb.Config{}, stride.Config{}
-		b.own(&c, resolved)
+	reads := ReadsAll
+	if s, ok := lookup(c.PrefetcherName); ok {
+		reads = s.reads
+	}
+	if reads&ReadsSMS == 0 {
+		c.SMS = core.Config{}
+	}
+	if reads&ReadsLS == 0 {
+		c.LS = sectored.Config{}
+	}
+	if reads&ReadsGHB == 0 {
+		c.GHB = ghb.Config{}
+	}
+	if reads&ReadsStride == 0 {
+		c.Stride = stride.Config{}
 	}
 	return c
 }
@@ -195,12 +207,12 @@ func NewRunner(cfg Config) (*Runner, error) {
 	r := &Runner{cfg: cfg, sys: sys}
 	ncpu := cfg.Coherence.CPUs
 
-	ctor, err := lookup(cfg.PrefetcherName)
-	if err != nil {
-		return nil, err
+	scheme, ok := lookup(cfg.PrefetcherName)
+	if !ok {
+		return nil, fmt.Errorf("sim: unknown prefetcher %q (registered: %v)", cfg.PrefetcherName, Names())
 	}
 	for i := 0; i < ncpu; i++ {
-		p, err := ctor(cfg)
+		p, err := scheme.ctor(cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -75,7 +75,7 @@ func TestCorruptTraceQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := ForTrace("sparse", workload.Config{CPUs: 1, Seed: 1, Length: 10})
-	if err := s.PutTraceRecords(key, trace.Header{}, traceRecords(10)); err != nil {
+	if err := s.PutTrace(key, trace.Header{}, trace.NewSliceSource(traceRecords(10))); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(s.tracePath(key), []byte("SMSTgarbage"), 0o644); err != nil {
@@ -197,8 +197,8 @@ func TestWriteAtomicityUnderInjectedCrashes(t *testing.T) {
 			victim.SetFault(fault.MustNew(fault.Plan{Rules: []fault.Rule{
 				{Site: "store.traces.rename", Kind: tc.rule.Kind, Frac: tc.rule.Frac},
 			}}))
-			if err := victim.PutTraceRecords(tkey, trace.Header{WorkloadHash: tkey}, traceRecords(10)); !errors.Is(err, fault.ErrCrashed) {
-				t.Fatalf("PutTraceRecords under %s = %v, want ErrCrashed", tc.name, err)
+			if err := victim.PutTrace(tkey, trace.Header{WorkloadHash: tkey}, trace.NewSliceSource(traceRecords(10))); !errors.Is(err, fault.ErrCrashed) {
+				t.Fatalf("PutTrace under %s = %v, want ErrCrashed", tc.name, err)
 			}
 			close(stop)
 			wg.Wait()
@@ -215,7 +215,7 @@ func TestWriteAtomicityUnderInjectedCrashes(t *testing.T) {
 			if err := victim.PutResult(key, res); err != nil {
 				t.Fatal(err)
 			}
-			if err := victim.PutTraceRecords(tkey, trace.Header{WorkloadHash: tkey}, traceRecords(10)); err != nil {
+			if err := victim.PutTrace(tkey, trace.Header{WorkloadHash: tkey}, trace.NewSliceSource(traceRecords(10))); err != nil {
 				t.Fatal(err)
 			}
 			if got, ok := reader.GetResult(key); !ok || got.Accesses != res.Accesses {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ghb"
+	_ "repro/internal/nextline"
 	"repro/internal/sectored"
 	"repro/internal/sim"
 	"repro/internal/stride"
@@ -52,9 +53,10 @@ func TestForRunCanonicalizes(t *testing.T) {
 	}
 }
 
-// TestForRunKeysOwnSchemeOnly: a built-in scheme's key hashes only its
-// own sub-config, so changing another built-in's sub-config moves neither
-// the canonical config nor the key, while changing its own moves both.
+// TestForRunKeysOwnSchemeOnly: a scheme's key hashes only the sub-configs
+// its registration reads — a built-in its own, nextline none — so
+// changing another sub-config moves neither the canonical config nor
+// the key, while changing its own moves both.
 func TestForRunKeysOwnSchemeOnly(t *testing.T) {
 	wcfg := workload.Config{CPUs: 4, Seed: 1}
 	others := map[string]func(*sim.Config){
@@ -63,7 +65,7 @@ func TestForRunKeysOwnSchemeOnly(t *testing.T) {
 		"ghb":    func(c *sim.Config) { c.GHB = ghb.Config{HistoryEntries: 16384, Degree: 8} },
 		"stride": func(c *sim.Config) { c.Stride = stride.Config{Entries: 64, Degree: 3} },
 	}
-	for _, name := range []string{"none", "sms", "ls", "ghb", "stride"} {
+	for _, name := range []string{"none", "sms", "ls", "ghb", "stride", "nextline"} {
 		base := sim.Config{PrefetcherName: name}
 		key := ForRun("sparse", wcfg, base)
 		for other, set := range others {

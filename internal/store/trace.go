@@ -298,15 +298,24 @@ func (s *Store) PutTraceRaw(key string, r io.Reader) (int64, error) {
 	return n, nil
 }
 
-// PutTraceRecords writes a fully in-memory trace at key in one call.
-func (s *Store) PutTraceRecords(key string, hdr trace.Header, recs []trace.Record) error {
+// PutTrace writes the records src yields at key, streaming them through
+// one batch buffer.
+func (s *Store) PutTrace(key string, hdr trace.Header, src trace.Source) error {
 	ts, err := s.BeginTrace(key, hdr)
 	if err != nil {
 		return err
 	}
-	if err := ts.W.WriteBatch(recs); err != nil {
-		ts.Abort()
-		return fmt.Errorf("store: writing trace %s: %w", key, err)
+	bs := trace.Batched(src)
+	buf := make([]trace.Record, 4096)
+	for {
+		n := bs.NextBatch(buf)
+		if n == 0 {
+			break
+		}
+		if err := ts.W.WriteBatch(buf[:n]); err != nil {
+			ts.Abort()
+			return fmt.Errorf("store: writing trace %s: %w", key, err)
+		}
 	}
 	return ts.Commit()
 }

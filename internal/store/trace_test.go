@@ -54,7 +54,7 @@ func TestTraceTierRoundTripAndStats(t *testing.T) {
 		t.Fatal("miss reported as hit")
 	}
 	hdr := trace.Header{CPUs: 2, Workload: "sparse", WorkloadHash: key}
-	if err := s.PutTraceRecords(key, hdr, recs); err != nil {
+	if err := s.PutTrace(key, hdr, trace.NewSliceSource(recs)); err != nil {
 		t.Fatal(err)
 	}
 	if !s.HasTrace(key) {
@@ -100,7 +100,7 @@ func TestTraceTierCorruptArtifactIsAMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := ForTrace("sparse", workload.Config{CPUs: 1, Seed: 1, Length: 10})
-	if err := s.PutTraceRecords(key, trace.Header{}, traceRecords(10)); err != nil {
+	if err := s.PutTrace(key, trace.Header{}, trace.NewSliceSource(traceRecords(10))); err != nil {
 		t.Fatal(err)
 	}
 	path := s.tracePath(key)
@@ -266,14 +266,14 @@ func TestBeginTraceBindsHashToKey(t *testing.T) {
 	wcfg := workload.Config{CPUs: 2, Seed: 1, Length: 500}
 	key := ForTrace("oltp-oracle", wcfg)
 	foreign := trace.Header{CPUs: 2, Workload: "dss-q1", WorkloadHash: ForTrace("dss-q1", wcfg)}
-	if err := s.PutTraceRecords(key, foreign, traceRecords(500)); err == nil {
+	if err := s.PutTrace(key, foreign, trace.NewSliceSource(traceRecords(500))); err == nil {
 		t.Fatal("foreign workload hash accepted")
 	}
 	if left, _ := filepath.Glob(filepath.Join(dir, kindTrace, "*", "*")); len(left) != 0 {
 		t.Fatalf("refused write left files behind: %v", left)
 	}
 
-	if err := s.PutTraceRecords(key, trace.Header{CPUs: 2, Workload: "oltp-oracle"}, traceRecords(500)); err != nil {
+	if err := s.PutTrace(key, trace.Header{CPUs: 2, Workload: "oltp-oracle"}, trace.NewSliceSource(traceRecords(500))); err != nil {
 		t.Fatal(err)
 	}
 	f, ok := s.OpenTrace(key)
