@@ -47,14 +47,15 @@ func TestAccessSteadyStateZeroAllocs(t *testing.T) {
 }
 
 func TestDirTableSteadyStateZeroAllocs(t *testing.T) {
-	tb := newDirTable()
+	tb := newDirTable(64, 1)
 	const keys = 40_000 // forces several growth rehashes during prewarm
 	for k := uint64(0); k < keys; k++ {
-		tb.getOrInsert(k).sharers = k
+		tb.setMasks(tb.getOrInsert(k), k+1, k)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		for k := uint64(0); k < keys; k++ {
-			if e := tb.get(k); e == nil || e.sharers != k {
+			r, ok := tb.get(k)
+			if sharers, inval := tb.masks(r); !ok || sharers != k+1 || inval != k {
 				t.Fatal("directory entry lost")
 			}
 			tb.getOrInsert(k)

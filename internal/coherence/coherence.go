@@ -17,7 +17,10 @@
 // The false-sharing classifier tracks, per coherence unit, which 64-byte
 // sub-units have been written since each invalidated CPU lost its copy; a
 // coherence miss whose accessed sub-unit was never written in the interim
-// is false sharing.
+// is false sharing. A 64 B unit is one sub-unit, which the invalidating
+// write always wrote, so it keeps no such record. The directory holds
+// each unit's sharer and invalidation masks at the run's CPU width (see
+// dirTable).
 package coherence
 
 import (
@@ -182,26 +185,6 @@ func (r *AccessResult) Missed(l Level) bool {
 	}
 }
 
-// dirEntry tracks one coherence unit.
-type dirEntry struct {
-	// sharers is a bitmask of CPUs believed to hold the unit.
-	sharers uint64
-	// invalidated is a bitmask of CPUs that lost the unit to a remote
-	// write and have not re-acquired it.
-	invalidated uint64
-	// writtenSubs accumulates the 64 B sub-units written since the
-	// oldest outstanding invalidation: the first 64 of them. Units over
-	// 4 kB keep the rest in System.writtenHi.
-	writtenSubs uint64
-}
-
-// hiSubKey names one 64-bit word, past the first, of a coherence unit's
-// written-sub-unit set.
-type hiSubKey struct {
-	bn   uint64 // block number
-	word uint   // sub-unit / 64, at least 1
-}
-
 // System is the coherent multiprocessor memory system.
 type System struct {
 	cfg       Config
@@ -210,14 +193,6 @@ type System struct {
 	blockBits uint
 	subBits   uint
 	subMask   uint64
-	subsPer   int  // sub-units per coherence unit
-	subWords  uint // 64-bit words in a unit's written-sub-unit set
-
-	// writtenHi holds the written sub-units past the first 64, for
-	// coherence units over 4 kB (Fig. 4 sweeps to 8 kB, 128 sub-units).
-	// Keeping them out of dirEntry keeps every entry at 24 bytes; the
-	// map stays empty for smaller units.
-	writtenHi map[hiSubKey]uint64
 
 	// Scratch buffers backing the result slices (see AccessResult):
 	// demand accesses and stream fills use separate sets because the
@@ -238,20 +213,13 @@ func New(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	subsPer := max(1, cfg.L1.BlockSize/subUnit) // sub-units per coherence unit
 	s := &System{
 		cfg:       cfg,
-		dir:       newDirTable(),
+		dir:       newDirTable(cfg.CPUs, subsPer),
 		blockBits: uint(bits.TrailingZeros64(uint64(cfg.L1.BlockSize))),
 		subBits:   uint(bits.TrailingZeros64(subUnit)),
-		subsPer:   cfg.L1.BlockSize / subUnit,
-	}
-	if s.subsPer < 1 {
-		s.subsPer = 1
-	}
-	s.subMask = uint64(s.subsPer - 1)
-	s.subWords = uint(s.subsPer+63) / 64
-	if s.subWords > 1 {
-		s.writtenHi = make(map[hiSubKey]uint64)
+		subMask:   uint64(subsPer - 1),
 	}
 	for i := 0; i < cfg.CPUs; i++ {
 		s.l1s = append(s.l1s, cache.MustNew(cfg.L1))
@@ -284,32 +252,6 @@ func (s *System) blockNum(a mem.Addr) uint64 { return uint64(a) >> s.blockBits }
 
 func (s *System) subOf(a mem.Addr) uint {
 	return uint(uint64(a)>>s.subBits) & uint(s.subMask)
-}
-
-// subWritten reports whether sub-unit sub of unit bn (entry e) was
-// written since the oldest outstanding invalidation.
-func (s *System) subWritten(e *dirEntry, bn uint64, sub uint) bool {
-	if sub < 64 {
-		return e.writtenSubs&(1<<sub) != 0
-	}
-	return s.writtenHi[hiSubKey{bn, sub / 64}]&(1<<(sub%64)) != 0
-}
-
-// markWritten records a write to sub-unit sub of unit bn (entry e).
-func (s *System) markWritten(e *dirEntry, bn uint64, sub uint) {
-	if sub < 64 {
-		e.writtenSubs |= 1 << sub
-		return
-	}
-	s.writtenHi[hiSubKey{bn, sub / 64}] |= 1 << (sub % 64)
-}
-
-// clearWritten empties the written-sub-unit set of unit bn (entry e).
-func (s *System) clearWritten(e *dirEntry, bn uint64) {
-	e.writtenSubs = 0
-	for w := uint(1); w < s.subWords; w++ {
-		delete(s.writtenHi, hiSubKey{bn, w})
-	}
 }
 
 // Access performs a demand access by cpu. The result's slices are valid
@@ -358,24 +300,24 @@ func (s *System) AccessInto(res *AccessResult, cpu int, a mem.Addr, write bool) 
 // in L1 (coherence/false-sharing classification, sharer registration).
 // r1 is the already-performed L1 access outcome.
 func (s *System) accessSlow(res *AccessResult, cpu int, a mem.Addr, write bool, r1 *cache.Result, l1, l2 *cache.Cache) {
-	// One lookup serves classification and bookkeeping: a unit's first
-	// entry is zero, which classifies exactly like an absent one.
-	bn := s.blockNum(a)
-	e := s.dir.getOrInsert(bn)
+	// One lookup serves classification and bookkeeping: a new unit's
+	// masks are zero, which classifies exactly like an absent unit. The
+	// masks are loaded once and stored once, after the cache work, which
+	// never touches the directory.
+	r := s.dir.getOrInsert(s.blockNum(a))
+	sharers, inval := s.dir.masks(r)
+	bit := uint64(1) << uint(cpu)
 
 	// Classify coherence/false-sharing state. The original ordering ran
 	// this before the L1 access; the two touch disjoint state (the
-	// directory entry vs. the cache arrays), so classifying after the
-	// cache update observes identical values.
-	if e.invalidated&(1<<uint(cpu)) != 0 {
+	// directory vs. the cache arrays), so classifying after the cache
+	// update observes identical values.
+	if inval&bit != 0 {
 		res.CoherenceMiss = true
-		if !s.subWritten(e, bn, s.subOf(a)) {
+		if !s.dir.subWritten(r, s.subOf(a)) {
 			res.FalseSharing = true
 		}
-		e.invalidated &^= 1 << uint(cpu)
-		if e.invalidated == 0 {
-			s.clearWritten(e, bn)
-		}
+		inval = s.dir.reacquire(r, inval, bit)
 	}
 
 	res.L1Hit = r1.Hit
@@ -400,23 +342,26 @@ func (s *System) accessSlow(res *AccessResult, cpu int, a mem.Addr, write bool, 
 		}
 	}
 
-	// Directory bookkeeping.
-	e.sharers |= 1 << uint(cpu)
+	// Directory bookkeeping: a write leaves the writer the only sharer
+	// and every other one invalidated.
+	sharers |= bit
 	if write {
-		res.Invalidations = s.invalidateRemote(cpu, a, e)
-		s.markWritten(e, bn, s.subOf(a))
+		remote := sharers &^ bit
+		res.Invalidations = s.invalidateRemote(a, remote)
+		sharers, inval = bit, inval|remote
+		s.dir.markWritten(r, s.subOf(a))
 	}
+	s.dir.setMasks(r, sharers, inval)
 }
 
-// invalidateRemote destroys all remote copies of the unit containing a.
-// The returned slice aliases the System's scratch buffer.
-func (s *System) invalidateRemote(writer int, a mem.Addr, e *dirEntry) []Invalidation {
+// invalidateRemote destroys the copies of the unit containing a that the
+// CPUs in remote hold. The returned slice aliases the System's scratch
+// buffer.
+func (s *System) invalidateRemote(a mem.Addr, remote uint64) []Invalidation {
 	out := s.invScratch[:0]
 	base := s.BlockAddr(a)
-	remote := e.sharers &^ (1 << uint(writer))
-	for remote != 0 {
+	for ; remote != 0; remote &= remote - 1 {
 		cpu := bits.TrailingZeros64(remote)
-		remote &^= 1 << uint(cpu)
 		i1 := s.l1s[cpu].Invalidate(base)
 		i2 := s.l2s[cpu].Invalidate(base)
 		if i1.Present || i2.Present {
@@ -434,8 +379,6 @@ func (s *System) invalidateRemote(writer int, a mem.Addr, e *dirEntry) []Invalid
 				PrefetchedUnused: unused,
 			})
 		}
-		e.sharers &^= 1 << uint(cpu)
-		e.invalidated |= 1 << uint(cpu)
 	}
 	s.invScratch = out
 	if len(out) == 0 {
@@ -511,17 +454,15 @@ func (s *System) StreamInto(res *StreamResult, cpu int, a mem.Addr) {
 		s.strEvL1 = append(s.strEvL1[:0], r1.Victim)
 		res.L1Evictions = s.strEvL1
 	}
-	bn := s.blockNum(a)
-	e := s.dir.getOrInsert(bn)
 	// A streamed read copy clears any pending invalidation state for
 	// this CPU: the prefetch re-acquired the block.
-	e.sharers |= 1 << uint(cpu)
-	if e.invalidated&(1<<uint(cpu)) != 0 {
-		e.invalidated &^= 1 << uint(cpu)
-		if e.invalidated == 0 {
-			s.clearWritten(e, bn)
-		}
+	r := s.dir.getOrInsert(s.blockNum(a))
+	sharers, inval := s.dir.masks(r)
+	bit := uint64(1) << uint(cpu)
+	if inval&bit != 0 {
+		inval = s.dir.reacquire(r, inval, bit)
 	}
+	s.dir.setMasks(r, sharers|bit, inval)
 }
 
 // L2Stream fills a block into cpu's L2 only (used by L2-targeted
@@ -546,8 +487,9 @@ func (s *System) L2StreamInto(res *StreamResult, cpu int, a mem.Addr) {
 		s.strEvL2 = append(s.strEvL2[:0], r2.Victim)
 		res.L2Evictions = s.strEvL2
 	}
-	e := s.dir.getOrInsert(s.blockNum(a))
-	e.sharers |= 1 << uint(cpu)
+	r := s.dir.getOrInsert(s.blockNum(a))
+	sharers, inval := s.dir.masks(r)
+	s.dir.setMasks(r, sharers|1<<uint(cpu), inval)
 }
 
 // L1 exposes a CPU's L1 cache (read-mostly; used by training-structure

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/cache"
@@ -160,6 +161,36 @@ func TestFalseSharingMixedWrites(t *testing.T) {
 	r := s.Access(1, 0x0, false)
 	if !r.CoherenceMiss || r.FalseSharing {
 		t.Fatalf("mixed writes misclassified: %+v", r)
+	}
+}
+
+// TestNoFalseSharingAt64B states why 64 B units keep no written-sub-unit
+// set: a 64 B unit is one sub-unit, and the write that invalidated a
+// copy wrote it, so no coherence miss at 64 B is ever false sharing.
+func TestNoFalseSharingAt64B(t *testing.T) {
+	for _, cpus := range []int{2, 4, 16, 64} {
+		s := smallSys(cpus, 64)
+		rng := rand.New(rand.NewSource(int64(cpus)))
+		misses := 0
+		for op := 0; op < 50_000; op++ {
+			cpu := rng.Intn(cpus)
+			a := mem.Addr(rng.Intn(32 * 64))
+			switch rng.Intn(8) {
+			case 0:
+				s.Stream(cpu, s.BlockAddr(a))
+			default:
+				r := s.Access(cpu, a, rng.Intn(3) == 0)
+				if r.FalseSharing {
+					t.Fatalf("%d CPUs op %d: false sharing at 64 B units: %+v", cpus, op, r)
+				}
+				if r.CoherenceMiss {
+					misses++
+				}
+			}
+		}
+		if misses < 1000 {
+			t.Fatalf("%d CPUs: only %d coherence misses; the traffic shares too little to test", cpus, misses)
+		}
 	}
 }
 

@@ -410,8 +410,18 @@ func TestSystemMatchesMapReference(t *testing.T) {
 		{CPUs: 4, L1: cache.Config{Size: 2048, Assoc: 2, BlockSize: 64}, L2: cache.Config{Size: 8192, Assoc: 4, BlockSize: 64}},
 		{CPUs: 3, L1: cache.Config{Size: 4096, Assoc: 2, BlockSize: 256}, L2: cache.Config{Size: 16384, Assoc: 8, BlockSize: 256}},
 		{CPUs: 8, L1: cache.Config{Size: 1024, Assoc: 1, BlockSize: 64}, L2: cache.Config{Size: 4096, Assoc: 2, BlockSize: 64}},
-		// 8 kB units: 128 sub-units, half of them past the entry's word.
+		// 8 kB units: 128 sub-units, two words of written sub-units each.
 		{CPUs: 4, L1: cache.Config{Size: 32768, Assoc: 2, BlockSize: 8192}, L2: cache.Config{Size: 131072, Assoc: 4, BlockSize: 8192}},
+		// With the configs above, every directory lane width: 4 bits
+		// (1–4 CPUs), 8, 16, 32 and 64 (33 and 64 CPUs), with units of 1,
+		// 2 and 8 sub-units.
+		{CPUs: 1, L1: cache.Config{Size: 2048, Assoc: 2, BlockSize: 128}, L2: cache.Config{Size: 8192, Assoc: 4, BlockSize: 128}},
+		{CPUs: 2, L1: cache.Config{Size: 4096, Assoc: 2, BlockSize: 512}, L2: cache.Config{Size: 16384, Assoc: 4, BlockSize: 512}},
+		{CPUs: 16, L1: cache.Config{Size: 2048, Assoc: 2, BlockSize: 128}, L2: cache.Config{Size: 8192, Assoc: 4, BlockSize: 128}},
+		{CPUs: 32, L1: cache.Config{Size: 2048, Assoc: 2, BlockSize: 64}, L2: cache.Config{Size: 8192, Assoc: 4, BlockSize: 64}},
+		{CPUs: 33, L1: cache.Config{Size: 4096, Assoc: 2, BlockSize: 512}, L2: cache.Config{Size: 16384, Assoc: 4, BlockSize: 512}},
+		{CPUs: 64, L1: cache.Config{Size: 2048, Assoc: 2, BlockSize: 128}, L2: cache.Config{Size: 8192, Assoc: 4, BlockSize: 128}},
+		{CPUs: 64, L1: cache.Config{Size: 4096, Assoc: 2, BlockSize: 512}, L2: cache.Config{Size: 16384, Assoc: 4, BlockSize: 512}},
 	}
 	for ci, cfg := range configs {
 		sys := MustNew(cfg)
@@ -436,30 +446,34 @@ func TestSystemMatchesMapReference(t *testing.T) {
 // footprint the directory must page: each CPU scans its own stretch of
 // units while random accesses land anywhere in 1<<17 units, so the page
 // index grows several times and scans share pages with random traffic.
+// It runs at 4, 16 and 64 CPUs, whose pages cover 64, 16 and 4 units.
 func TestSystemMatchesMapReferenceLargeFootprint(t *testing.T) {
-	cfg := Config{CPUs: 4, L1: cache.Config{Size: 4096, Assoc: 2, BlockSize: 64}, L2: cache.Config{Size: 32768, Assoc: 8, BlockSize: 64}}
-	sys := MustNew(cfg)
-	ref := newRefSystem(cfg)
-	rng := rand.New(rand.NewSource(7))
-	const units = 1 << 17
-	var scan [4]int
-	for op := 0; op < 300_000; op++ {
-		cpu := rng.Intn(cfg.CPUs)
-		u := rng.Intn(units)
-		if op%3 != 0 {
-			u = (cpu*units/cfg.CPUs + scan[cpu]) % units
-			scan[cpu]++
+	for _, cpus := range []int{4, 16, 64} {
+		cfg := Config{CPUs: cpus, L1: cache.Config{Size: 4096, Assoc: 2, BlockSize: 64}, L2: cache.Config{Size: 32768, Assoc: 8, BlockSize: 64}}
+		sys := MustNew(cfg)
+		ref := newRefSystem(cfg)
+		rng := rand.New(rand.NewSource(7))
+		leg := fmt.Sprintf("large %d CPUs", cpus)
+		const units = 1 << 17
+		scan := make([]int, cpus)
+		for op := 0; op < 300_000; op++ {
+			cpu := rng.Intn(cfg.CPUs)
+			u := rng.Intn(units)
+			if op%3 != 0 {
+				u = (cpu*units/cfg.CPUs + scan[cpu]) % units
+				scan[cpu]++
+			}
+			a := mem.Addr(u)*mem.Addr(cfg.L1.BlockSize) + mem.Addr(rng.Intn(cfg.L1.BlockSize))
+			diffOp(t, leg, op, sys, ref, rng, cpu, a)
+			if op%50_000 == 0 && sys.dir.len() != len(ref.dir) {
+				t.Fatalf("%s op %d: directory size %d, reference %d", leg, op, sys.dir.len(), len(ref.dir))
+			}
 		}
-		a := mem.Addr(u)*mem.Addr(cfg.L1.BlockSize) + mem.Addr(rng.Intn(cfg.L1.BlockSize))
-		diffOp(t, "large", op, sys, ref, rng, cpu, a)
-		if op%50_000 == 0 && sys.dir.len() != len(ref.dir) {
-			t.Fatalf("op %d: directory size %d, reference %d", op, sys.dir.len(), len(ref.dir))
+		if got, want := sys.dir.len(), len(ref.dir); got != want {
+			t.Fatalf("%s: directory size %d, reference %d", leg, got, want)
 		}
-	}
-	if got, want := sys.dir.len(), len(ref.dir); got != want {
-		t.Fatalf("directory size %d, reference %d", got, want)
-	}
-	if got := sys.dir.len(); got < 100_000 {
-		t.Fatalf("footprint touched only %d units; the leg needs at least 100k", got)
+		if got := sys.dir.len(); got < 100_000 {
+			t.Fatalf("%s: footprint touched only %d units; the leg needs at least 100k", leg, got)
+		}
 	}
 }

@@ -101,6 +101,17 @@ func TestTraceMemoSingleflight(t *testing.T) {
 	}
 	cfg := workload.Config{CPUs: 2, Seed: 5, Length: 10_000}
 	e := New(Config{Workload: cfg})
+	// Hold the workload once per reader, as admission holds one per
+	// queued cell: an unheld trace is dropped when its generation
+	// completes, so a reader scheduled after that would generate again.
+	for i := 0; i < 16; i++ {
+		e.traces.hold(w.Name)
+	}
+	defer func() {
+		for i := 0; i < 16; i++ {
+			e.traces.release(w.Name)
+		}
+	}()
 	var wg sync.WaitGroup
 	generations := make(chan bool, 16)
 	for i := 0; i < 16; i++ {
