@@ -318,6 +318,37 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	step(b.N)
 }
 
+// BenchmarkStreamThroughput is BenchmarkSimulatorThroughput with the
+// next-line prefetcher on em3d: about four stream requests per access,
+// half of them L1 misses, so the stream issue and fill path
+// (coherence.StreamInto and the runner's per-stream accounting) does
+// most of the work. ns/op is ns/record; steady state must not allocate.
+func BenchmarkStreamThroughput(b *testing.B) {
+	w, err := workload.ByName("em3d")
+	if err != nil {
+		b.Fatal(err)
+	}
+	runner := sim.MustNewRunner(sim.Config{PrefetcherName: "nextline"})
+	src := trace.Batched(w.Make(workload.Config{CPUs: 4, Seed: 1, Length: 1 << 62}))
+	batch := make([]trace.Record, sim.DefaultBatchRecords)
+	step := func(records int) {
+		for records > 0 {
+			n := src.NextBatch(batch[:min(len(batch), records)])
+			if n == 0 {
+				b.Fatal("source exhausted")
+			}
+			for i := range batch[:n] {
+				runner.Step(batch[i])
+			}
+			records -= n
+		}
+	}
+	step(500_000) // prewarm to steady state
+	b.ReportAllocs()
+	b.ResetTimer()
+	step(b.N)
+}
+
 func BenchmarkSampledThroughput(b *testing.B) {
 	// Sampled-mode records/second through RunContext: an in-memory
 	// (seekable) replay of the same workload as SimulatorThroughput,

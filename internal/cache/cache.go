@@ -18,6 +18,12 @@
 // way's metadata is never zero, and comparing whole metadata words orders
 // ways by recency (stamps dominate the flag byte).
 //
+// Every operation scans a set's tags for the hit first, and only a miss
+// picks a victim: the way with the smallest metadata word. An invalid
+// way's word is 0 and live stamps are unique, so that is the first
+// invalid way, else the least recently used one, with no separate
+// bookkeeping of invalid ways.
+//
 // Every operation that reports a Result (AccessInto, FillInto,
 // FillAtWayInto) writes the outcome into a Result the caller owns: the
 // Result is overwritten on every call, so the caller reads it before the
@@ -161,63 +167,43 @@ type Result struct {
 
 // AccessInto performs a demand access (read or write) and writes its
 // outcome into res (see the package comment's Into contract). On a miss
-// the block is filled, possibly displacing a victim.
-//
-// The hit scan and the victim search share one pass over the set: the
-// victim is the first invalid way, else the lowest-LRU way (ties to the
-// lowest index).
+// the block is filled, possibly displacing a victim (see victim).
 func (c *Cache) AccessInto(res *Result, a mem.Addr, write bool) {
 	set, tag := c.index(a)
 	c.clock++
 	base := int(set) * c.assoc
-	k := tag + 1
+	if j := c.find(base, tag+1); j >= 0 {
+		c.accessHit(res, j, write)
+		return
+	}
 	var newFlags uint8
 	if write {
 		newFlags = fDirty
 	}
-	if c.assoc == 2 {
-		// Two-way fast path (the paper's L1): both ways in registers,
-		// same victim policy as the general loop below.
-		t0, t1 := c.tags[base], c.tags[base+1]
-		if t0 == k {
-			c.accessHit(res, base, write)
-			return
-		}
-		if t1 == k {
-			c.accessHit(res, base+1, write)
-			return
-		}
-		victim := base
-		if t0 != 0 && (t1 == 0 || c.meta[base+1] < c.meta[base]) {
-			victim = base + 1
-		}
-		c.fillAt(res, victim, set, k, newFlags)
-		return
-	}
-	tags := c.tags[base : base+c.assoc]
-	firstInvalid := -1
-	victim := 0
-	var oldest uint64 = ^uint64(0)
-	for i, t := range tags {
-		if t == 0 {
-			if firstInvalid < 0 {
-				firstInvalid = i
-			}
-			continue
-		}
+	c.fillAt(res, c.victim(base), set, tag+1, newFlags)
+}
+
+// find returns the slot of the way of the set at base holding packed tag
+// k, or -1 on a miss.
+func (c *Cache) find(base int, k uint64) int {
+	for i, t := range c.tags[base : base+c.assoc] {
 		if t == k {
-			c.accessHit(res, base+i, write)
-			return
-		}
-		if m := c.meta[base+i]; m < oldest {
-			oldest = m
-			victim = i
+			return base + i
 		}
 	}
-	if firstInvalid >= 0 {
-		victim = firstInvalid
+	return -1
+}
+
+// victim returns the slot a fill of the set at base uses: the way with
+// the smallest metadata word (see the package comment).
+func (c *Cache) victim(base int) int {
+	v, least := base, c.meta[base]
+	for j := base + 1; j < base+c.assoc; j++ {
+		if m := c.meta[j]; m < least {
+			v, least = j, m
+		}
 	}
-	c.fillAt(res, base+victim, set, k, newFlags)
+	return v
 }
 
 // accessHit applies a demand hit to way slot j: first-use prefetch
@@ -236,59 +222,22 @@ func (c *Cache) accessHit(res *Result, j int, write bool) {
 // Probe reports whether the block is present without updating LRU or flags.
 func (c *Cache) Probe(a mem.Addr) bool {
 	set, tag := c.index(a)
-	base := int(set) * c.assoc
-	k := tag + 1
-	for _, t := range c.tags[base : base+c.assoc] {
-		if t == k {
-			return true
-		}
-	}
-	return false
+	return c.find(int(set)*c.assoc, tag+1) >= 0
 }
 
 // ProbeVictim is Probe that also reports the way a subsequent fill of a
-// would use (first invalid way, else lowest LRU), so a stream fill whose
-// parameters depend on intermediate work (the L2 outcome) needs only one
-// scan. Like Probe it leaves LRU state and the clock untouched; pass the
-// way to FillAtWayInto only if no other operation touched this cache in
+// would use (see victim), so a stream fill whose parameters depend on
+// intermediate work (the L2 outcome) needs only one scan of each array.
+// Like Probe it leaves LRU state and the clock untouched; pass the way
+// to FillAtWayInto only if no other operation touched this cache in
 // between.
 func (c *Cache) ProbeVictim(a mem.Addr) (hit bool, way int) {
 	set, tag := c.index(a)
 	base := int(set) * c.assoc
-	k := tag + 1
-	if c.assoc == 2 {
-		// Two-way fast path, as in AccessInto.
-		t0, t1 := c.tags[base], c.tags[base+1]
-		if t0 == k || t1 == k {
-			return true, 0
-		}
-		if t0 != 0 && (t1 == 0 || c.meta[base+1] < c.meta[base]) {
-			return false, 1
-		}
-		return false, 0
+	if c.find(base, tag+1) >= 0 {
+		return true, 0
 	}
-	firstInvalid := -1
-	victim := 0
-	var oldest uint64 = ^uint64(0)
-	for i, t := range c.tags[base : base+c.assoc] {
-		if t == 0 {
-			if firstInvalid < 0 {
-				firstInvalid = i
-			}
-			continue
-		}
-		if t == k {
-			return true, 0
-		}
-		if m := c.meta[base+i]; m < oldest {
-			oldest = m
-			victim = i
-		}
-	}
-	if firstInvalid >= 0 {
-		victim = firstInvalid
-	}
-	return false, victim
+	return false, c.victim(base) - base
 }
 
 // FillAtWayInto installs a as a stream fill into the way chosen by a
@@ -297,11 +246,7 @@ func (c *Cache) ProbeVictim(a mem.Addr) (hit bool, way int) {
 func (c *Cache) FillAtWayInto(res *Result, a mem.Addr, way int, offChip bool) {
 	set, tag := c.index(a)
 	c.clock++
-	newFlags := fPrefetched
-	if offChip {
-		newFlags |= fOffChip
-	}
-	c.fillAt(res, int(set)*c.assoc+way, set, tag+1, newFlags)
+	c.fillAt(res, int(set)*c.assoc+way, set, tag+1, streamFlags(offChip))
 }
 
 // FillInto inserts a block as a stream/prefetch fill and writes its
@@ -314,40 +259,24 @@ func (c *Cache) FillInto(res *Result, a mem.Addr, offChip bool) {
 	set, tag := c.index(a)
 	c.clock++
 	base := int(set) * c.assoc
-	tags := c.tags[base : base+c.assoc]
-	k := tag + 1
-	firstInvalid := -1
-	victim := 0
-	var oldest uint64 = ^uint64(0)
-	for i, t := range tags {
-		if t == 0 {
-			if firstInvalid < 0 {
-				firstInvalid = i
-			}
-			continue
-		}
-		if t == k {
-			*res = Result{Hit: true}
-			return
-		}
-		if m := c.meta[base+i]; m < oldest {
-			oldest = m
-			victim = i
-		}
+	if c.find(base, tag+1) >= 0 {
+		*res = Result{Hit: true}
+		return
 	}
-	if firstInvalid >= 0 {
-		victim = firstInvalid
-	}
-	newFlags := fPrefetched
+	c.fillAt(res, c.victim(base), set, tag+1, streamFlags(offChip))
+}
+
+// streamFlags returns a stream fill's line flags.
+func streamFlags(offChip bool) uint8 {
 	if offChip {
-		newFlags |= fOffChip
+		return fPrefetched | fOffChip
 	}
-	c.fillAt(res, base+victim, set, k, newFlags)
+	return fPrefetched
 }
 
 // fillAt installs packed tag k into way slot j (= set*assoc+way),
 // reporting the displaced line in res if it was valid. Callers pick the
-// victim during their hit scan (first invalid way, else lowest LRU).
+// slot with victim after their hit scan missed.
 func (c *Cache) fillAt(res *Result, j int, set, k uint64, newFlags uint8) {
 	if old := c.tags[j]; old != 0 {
 		f := uint8(c.meta[j])
@@ -373,13 +302,8 @@ func (c *Cache) addrOf(set, tag uint64) mem.Addr {
 // stream fill must not later be scored as an overprediction.
 func (c *Cache) MarkUsed(a mem.Addr) {
 	set, tag := c.index(a)
-	base := int(set) * c.assoc
-	k := tag + 1
-	for i, t := range c.tags[base : base+c.assoc] {
-		if t == k {
-			c.meta[base+i] |= uint64(fUsed)
-			return
-		}
+	if j := c.find(int(set)*c.assoc, tag+1); j >= 0 {
+		c.meta[j] |= uint64(fUsed)
 	}
 }
 
@@ -397,23 +321,18 @@ type InvalidateResult struct {
 // Invalidate removes the block containing a, if present.
 func (c *Cache) Invalidate(a mem.Addr) InvalidateResult {
 	set, tag := c.index(a)
-	base := int(set) * c.assoc
-	k := tag + 1
-	for i, t := range c.tags[base : base+c.assoc] {
-		if t == k {
-			j := base + i
-			f := uint8(c.meta[j])
-			res := InvalidateResult{
-				Present:          true,
-				WasDirty:         f&fDirty != 0,
-				PrefetchedUnused: f&(fPrefetched|fUsed) == fPrefetched,
-			}
-			c.tags[j] = 0
-			c.meta[j] = 0
-			return res
-		}
+	j := c.find(int(set)*c.assoc, tag+1)
+	if j < 0 {
+		return InvalidateResult{}
 	}
-	return InvalidateResult{}
+	f := uint8(c.meta[j])
+	c.tags[j] = 0
+	c.meta[j] = 0
+	return InvalidateResult{
+		Present:          true,
+		WasDirty:         f&fDirty != 0,
+		PrefetchedUnused: f&(fPrefetched|fUsed) == fPrefetched,
+	}
 }
 
 // Flush empties the cache, returning the number of lines dropped.

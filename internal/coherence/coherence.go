@@ -21,6 +21,18 @@
 // write always wrote, so it keeps no such record. The directory holds
 // each unit's sharer and invalidation masks at the run's CPU width (see
 // dirTable).
+//
+// Two invariants let the hot paths skip the directory: a block resident
+// in a CPU's L1, and likewise one resident in its L2, has the CPU's
+// sharer bit set and its invalidated bit clear. They hold because an
+// invalidation destroys both of a CPU's copies when it sets the CPU's
+// invalidated bit, and every fill from beyond the CPU's L2 (a demand
+// miss, a stream that misses L2, an L2 stream) sets the sharer bit and
+// clears the invalidated bit; a fill from the CPU's own L2 copies a
+// block that satisfies them already. A read that hits L1 therefore
+// needs no directory work (AccessInto), and neither does a stream fill
+// that hits L2 (StreamInto): the classification and bookkeeping would
+// be no-ops.
 package coherence
 
 import (
@@ -114,9 +126,9 @@ type Invalidation struct {
 // AccessResult describes one demand access through a CPU's hierarchy.
 //
 // The eviction and invalidation slices alias per-System scratch buffers:
-// they are valid until the next Access/Stream/L2Stream call on the same
-// System. Consumers must iterate (or copy) before driving the system
-// again; retaining them across calls observes later results. This is what
+// they are valid until the next Access or AccessInto call on the same
+// System. Consumers must iterate (or copy) before the next access;
+// retaining them across calls observes later results. This is what
 // keeps the per-record hot path allocation-free.
 type AccessResult struct {
 	// L1Hit, L2Hit report where the access hit. If both are false, the
@@ -194,12 +206,10 @@ type System struct {
 	subBits   uint
 	subMask   uint64
 
-	// Scratch buffers backing the result slices (see AccessResult):
-	// demand accesses and stream fills use separate sets because the
-	// runner issues streams while it is still consuming the demand
-	// access's result.
+	// Scratch buffers backing the AccessResult slices. Stream fills
+	// report their victims by value, so a pending AccessResult stays
+	// readable while its streams issue.
 	accEvL1, accEvL2 []cache.Eviction
-	strEvL1, strEvL2 []cache.Eviction
 	invScratch       []Invalidation
 
 	// r1 and r2 receive the L1 and L2 outcome of each cache operation
@@ -272,14 +282,9 @@ func (s *System) AccessInto(res *AccessResult, cpu int, a mem.Addr, write bool) 
 	l2 := s.l2s[cpu]
 
 	// Fast path: a read that hits this CPU's L1 needs no directory work
-	// at all. The invariant making that sound: an invalidation always
-	// destroys the L1 copy when it sets the CPU's invalidated bit, and
-	// every path that (re)fills the L1 both sets the sharer bit and
-	// clears the pending-invalidation bit — so an L1-resident block has
-	// its sharer bit set and its invalidated bit clear, and the
-	// classification and bookkeeping below would be no-ops. This removes
-	// a directory probe (a likely cache miss on large footprints) from
-	// the dominant access outcome.
+	// at all (the L1-copy invariant of the package comment). This
+	// removes a directory probe (a likely cache miss on large
+	// footprints) from the dominant access outcome.
 	r1 := &s.r1
 	l1.AccessInto(r1, a, write)
 	if !write && r1.Hit {
@@ -387,34 +392,21 @@ func (s *System) invalidateRemote(a mem.Addr, remote uint64) []Invalidation {
 	return out
 }
 
-// StreamResult describes a prefetch fill.
-//
-// The eviction slices alias per-System scratch buffers (distinct from
-// the demand-access ones, so a pending AccessResult stays readable while
-// its streams issue): they are valid until the next Stream/L2Stream call.
+// StreamResult describes a prefetch fill. A fill displaces at most one
+// victim per level, so the victims are held by value.
 type StreamResult struct {
 	// AlreadyPresent reports that the target was in L1 already (the
 	// stream request is dropped).
 	AlreadyPresent bool
 	// L2Hit reports the fill was satisfied on-chip.
 	L2Hit bool
-	// L1Evictions lists victims displaced in L1 (they end generations).
-	L1Evictions []cache.Eviction
-	// L2Evictions lists victims displaced in L2 by the fill.
-	L2Evictions []cache.Eviction
-}
-
-// reset clears the result for reuse without a whole-struct store (see
-// AccessResult.reset).
-func (r *StreamResult) reset() {
-	r.AlreadyPresent = false
-	r.L2Hit = false
-	if r.L1Evictions != nil {
-		r.L1Evictions = nil
-	}
-	if r.L2Evictions != nil {
-		r.L2Evictions = nil
-	}
+	// L1Evicted reports that the fill displaced L1Victim (it ends a
+	// generation).
+	L1Evicted bool
+	L1Victim  cache.Eviction
+	// L2Evicted reports that the fill displaced L2Victim.
+	L2Evicted bool
+	L2Victim  cache.Eviction
 }
 
 // Stream performs an SMS stream request: fetch the block into cpu's L1
@@ -429,33 +421,37 @@ func (s *System) Stream(cpu int, a mem.Addr) StreamResult {
 // StreamInto is Stream writing into a caller-owned result (see
 // AccessInto).
 func (s *System) StreamInto(res *StreamResult, cpu int, a mem.Addr) {
-	res.reset()
 	l1 := s.l1s[cpu]
 	// One L1 scan answers both "already present?" and "which way will
 	// the fill use?" — the L2 work between never touches this L1.
 	hit, way := l1.ProbeVictim(a)
 	if hit {
-		res.AlreadyPresent = true
+		*res = StreamResult{AlreadyPresent: true}
 		return
 	}
 	// FillInto doubles as the presence probe: it is a flag-preserving no-op
 	// on a resident block, so one scan answers "was it an L2 hit" and
 	// performs the fill when it was not.
-	r2 := &s.r2
+	r1, r2 := &s.r1, &s.r2
 	s.l2s[cpu].FillInto(r2, a, true)
-	res.L2Hit = r2.Hit
-	if r2.Evicted {
-		s.strEvL2 = append(s.strEvL2[:0], r2.Victim)
-		res.L2Evictions = s.strEvL2
+	l1.FillAtWayInto(r1, a, way, !r2.Hit)
+	*res = StreamResult{
+		L2Hit:     r2.Hit,
+		L1Evicted: r1.Evicted,
+		L1Victim:  r1.Victim,
+		L2Evicted: r2.Evicted,
+		L2Victim:  r2.Victim,
 	}
-	r1 := &s.r1
-	l1.FillAtWayInto(r1, a, way, !res.L2Hit)
-	if r1.Evicted {
-		s.strEvL1 = append(s.strEvL1[:0], r1.Victim)
-		res.L1Evictions = s.strEvL1
+	// An L2-resident copy is already registered (the L2-copy invariant
+	// of the package comment), so only an L2 miss reaches the directory.
+	if !r2.Hit {
+		s.acquire(cpu, a)
 	}
-	// A streamed read copy clears any pending invalidation state for
-	// this CPU: the prefetch re-acquired the block.
+}
+
+// acquire registers cpu as a sharer of a's unit holding it again: a
+// stream fill is a read, so it also clears any pending invalidation.
+func (s *System) acquire(cpu int, a mem.Addr) {
 	r := s.dir.getOrInsert(s.blockNum(a))
 	sharers, inval := s.dir.masks(r)
 	bit := uint64(1) << uint(cpu)
@@ -476,20 +472,14 @@ func (s *System) L2Stream(cpu int, a mem.Addr) StreamResult {
 // L2StreamInto is L2Stream writing into a caller-owned result (see
 // AccessInto).
 func (s *System) L2StreamInto(res *StreamResult, cpu int, a mem.Addr) {
-	res.reset()
 	r2 := &s.r2
 	s.l2s[cpu].FillInto(r2, a, true)
 	if r2.Hit {
-		res.AlreadyPresent = true
+		*res = StreamResult{AlreadyPresent: true}
 		return
 	}
-	if r2.Evicted {
-		s.strEvL2 = append(s.strEvL2[:0], r2.Victim)
-		res.L2Evictions = s.strEvL2
-	}
-	r := s.dir.getOrInsert(s.blockNum(a))
-	sharers, inval := s.dir.masks(r)
-	s.dir.setMasks(r, sharers|1<<uint(cpu), inval)
+	*res = StreamResult{L2Evicted: r2.Evicted, L2Victim: r2.Victim}
+	s.acquire(cpu, a)
 }
 
 // L1 exposes a CPU's L1 cache (read-mostly; used by training-structure

@@ -265,7 +265,7 @@ func TestL1EvictionsReported(t *testing.T) {
 	}
 	// Stream fills can evict too.
 	sr := s.Stream(0, 3*l1Stride)
-	if len(sr.L1Evictions) != 1 {
+	if !sr.L1Evicted || sr.L1Victim.Addr != l1Stride {
 		t.Fatalf("stream eviction not reported: %+v", sr)
 	}
 }
@@ -409,6 +409,61 @@ func TestFalseSharingClassifiedAcross8KUnit(t *testing.T) {
 			}
 			if r.FalseSharing == same {
 				t.Errorf("offset %d, writer at offset %d: FalseSharing = %v, want %v", off, w-unit, r.FalseSharing, !same)
+			}
+		}
+	}
+}
+
+// TestCopiesHoldDirectoryInvariant checks the invariant the L1 read fast
+// path and the L2-hit stream skip rest on, over random mixes of demand
+// accesses, L1 streams and L2 streams: after every operation, each CPU
+// holding a copy of the touched unit at either level has its sharer bit
+// set and its invalidated bit clear, and every 500 operations the same
+// holds for every unit of the address space. Small caches over a small
+// footprint keep evictions, invalidations and refills frequent.
+func TestCopiesHoldDirectoryInvariant(t *testing.T) {
+	for _, cpus := range []int{1, 4, 16, 64} {
+		for _, unit := range []int{64, 128, 512} {
+			sys := smallSys(cpus, unit)
+			rng := rand.New(rand.NewSource(int64(cpus*1000 + unit)))
+			const units = 48
+			check := func(op int, bn uint64) {
+				a := mem.Addr(bn) * mem.Addr(unit)
+				for cpu := 0; cpu < cpus; cpu++ {
+					inL1, inL2 := sys.L1(cpu).Probe(a), sys.L2(cpu).Probe(a)
+					if !inL1 && !inL2 {
+						continue
+					}
+					r, ok := sys.dir.get(bn)
+					var sharers, inval uint64
+					if ok {
+						sharers, inval = sys.dir.masks(r)
+					}
+					bit := uint64(1) << uint(cpu)
+					if sharers&bit == 0 || inval&bit != 0 {
+						t.Fatalf("%d CPUs, %d-B units, op %d: CPU %d holds unit %d (L1 %v, L2 %v) with sharers %#x, invalidated %#x",
+							cpus, unit, op, cpu, bn, inL1, inL2, sharers, inval)
+					}
+				}
+			}
+			for op := 0; op < 20_000; op++ {
+				cpu := rng.Intn(cpus)
+				bn := uint64(rng.Intn(units))
+				a := mem.Addr(bn)*mem.Addr(unit) + mem.Addr(rng.Intn(unit))
+				switch rng.Intn(5) {
+				case 0:
+					sys.Stream(cpu, sys.BlockAddr(a))
+				case 1:
+					sys.L2Stream(cpu, sys.BlockAddr(a))
+				default:
+					sys.Access(cpu, a, rng.Intn(3) == 0)
+				}
+				check(op, bn)
+				if op%500 == 499 {
+					for u := uint64(0); u < units; u++ {
+						check(op, u)
+					}
+				}
 			}
 		}
 	}

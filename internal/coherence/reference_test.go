@@ -294,13 +294,18 @@ func (s *refSystem) stream(cpu int, a mem.Addr) StreamResult {
 	}
 	res.L2Hit = s.l2s[cpu].probe(a)
 	if !res.L2Hit {
-		if r2 := s.l2s[cpu].fillPrefetch(a, true); r2.Evicted {
-			res.L2Evictions = append(res.L2Evictions, r2.Victim)
-		}
+		r2 := s.l2s[cpu].fillPrefetch(a, true)
+		res.L2Evicted, res.L2Victim = r2.Evicted, r2.Victim
 	}
-	if r := s.l1s[cpu].fillPrefetch(a, !res.L2Hit); r.Evicted {
-		res.L1Evictions = append(res.L1Evictions, r.Victim)
-	}
+	r1 := s.l1s[cpu].fillPrefetch(a, !res.L2Hit)
+	res.L1Evicted, res.L1Victim = r1.Evicted, r1.Victim
+	s.reacquire(cpu, a)
+	return res
+}
+
+// reacquire makes cpu a sharer of a's unit with no invalidation
+// pending, as every stream fill does.
+func (s *refSystem) reacquire(cpu int, a mem.Addr) {
 	bn := s.blockNum(a)
 	e := s.dir[bn]
 	if e == nil {
@@ -314,25 +319,19 @@ func (s *refSystem) stream(cpu int, a mem.Addr) StreamResult {
 			e.written = nil
 		}
 	}
-	return res
 }
 
+// l2Stream fills L2 only. Like stream it re-acquires the block, so no
+// L2 copy coexists with a pending invalidation of its CPU.
 func (s *refSystem) l2Stream(cpu int, a mem.Addr) StreamResult {
 	var res StreamResult
 	if s.l2s[cpu].probe(a) {
 		res.AlreadyPresent = true
 		return res
 	}
-	if r2 := s.l2s[cpu].fillPrefetch(a, true); r2.Evicted {
-		res.L2Evictions = append(res.L2Evictions, r2.Victim)
-	}
-	bn := s.blockNum(a)
-	e := s.dir[bn]
-	if e == nil {
-		e = &refDirEntry{}
-		s.dir[bn] = e
-	}
-	e.sharers |= 1 << uint(cpu)
+	r2 := s.l2s[cpu].fillPrefetch(a, true)
+	res.L2Evicted, res.L2Victim = r2.Evicted, r2.Victim
+	s.reacquire(cpu, a)
 	return res
 }
 
@@ -372,12 +371,6 @@ func sameAccess(a, b AccessResult) bool {
 		sameInvalidations(a.Invalidations, b.Invalidations)
 }
 
-func sameStream(a, b StreamResult) bool {
-	return a.AlreadyPresent == b.AlreadyPresent && a.L2Hit == b.L2Hit &&
-		sameEvictions(a.L1Evictions, b.L1Evictions) &&
-		sameEvictions(a.L2Evictions, b.L2Evictions)
-}
-
 // diffOp drives one randomly chosen operation at address a through both
 // implementations and fails on any difference.
 func diffOp(t *testing.T, leg string, op int, sys *System, ref *refSystem, rng *rand.Rand, cpu int, a mem.Addr) {
@@ -386,13 +379,13 @@ func diffOp(t *testing.T, leg string, op int, sys *System, ref *refSystem, rng *
 	case 0, 1:
 		got := sys.Stream(cpu, sys.BlockAddr(a))
 		want := ref.stream(cpu, ref.blockAddr(a))
-		if !sameStream(got, want) {
+		if got != want {
 			t.Fatalf("%s op %d: Stream(cpu=%d, %#x):\n got  %+v\n want %+v", leg, op, cpu, uint64(a), got, want)
 		}
 	case 2:
 		got := sys.L2Stream(cpu, sys.BlockAddr(a))
 		want := ref.l2Stream(cpu, ref.blockAddr(a))
-		if !sameStream(got, want) {
+		if got != want {
 			t.Fatalf("%s op %d: L2Stream(cpu=%d, %#x):\n got  %+v\n want %+v", leg, op, cpu, uint64(a), got, want)
 		}
 	default:

@@ -31,6 +31,13 @@ import (
 //     attached, a later run replays the disk tier; without one, it
 //     generates the trace again.
 //
+//     A released trace's arrays are not left to the garbage collector:
+//     the last release keeps them as the memo's spare, and the next
+//     generation packs into them (trace.PackInto). No source reads the
+//     spare, because its workload has no holder left. The spare is
+//     dropped once no workload is held, so an idle engine holds no
+//     trace.
+//
 //     The memo's byte budget is hard. A generation reserves its trace's
 //     packed size before it starts and gets it back when the last holder
 //     releases the workload; a trace that would not fit beside the traces
@@ -62,6 +69,9 @@ type traceCache struct {
 	// holders counts each workload's queued and running cells: the last
 	// release drops the workload's entry. Allocated by the first hold.
 	holders map[string]int
+	// spare is the trace the last release dropped, for the next
+	// generation to pack into; nil while no workload is held.
+	spare *trace.Packed
 }
 
 type traceEntry struct {
@@ -85,8 +95,9 @@ func (tc *traceCache) hold(name string) {
 }
 
 // release settles one holder of name's trace. The last one drops the
-// completed memo entry and gives its bytes back; an entry still
-// generating is dropped by generate when it completes.
+// completed memo entry, gives its bytes back and keeps its trace as the
+// spare while other workloads are held; an entry still generating is
+// dropped by generate when it completes.
 func (tc *traceCache) release(name string) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
@@ -94,6 +105,9 @@ func (tc *traceCache) release(name string) {
 		return
 	}
 	delete(tc.holders, name)
+	if len(tc.holders) == 0 {
+		tc.spare = nil
+	}
 	ent, ok := tc.entries[name]
 	if !ok {
 		return
@@ -105,6 +119,9 @@ func (tc *traceCache) release(name string) {
 	}
 	delete(tc.entries, name)
 	tc.reserved -= ent.size
+	if len(tc.holders) > 0 {
+		tc.spare = ent.packed
+	}
 }
 
 // lookup reports the memo's state for name: a completed entry to
@@ -206,10 +223,11 @@ func closeSource(src trace.Source) {
 }
 
 // generate runs the workload generator under the memo's single-flight
-// lock, packs the trace in memory within the memo's budget, and writes
-// it through to the disk tier (best effort) so later processes replay
-// instead of regenerating. A trace that does not fit beside the traces
-// already reserved, or does not pack, streams from the generator.
+// lock, packs the trace in memory within the memo's budget (into the
+// spare's arrays when there is one), and writes it through to the disk
+// tier (best effort) so later processes replay instead of regenerating.
+// A trace that does not fit beside the traces already reserved, or does
+// not pack, streams from the generator.
 func (e *Engine) generate(w workload.Workload, cfg workload.Config) (trace.Source, bool) {
 	tc := &e.traces
 	length := cfg.Canonical().Length
@@ -233,6 +251,8 @@ func (e *Engine) generate(w workload.Workload, cfg workload.Config) (trace.Sourc
 	}
 	tc.entries[w.Name] = ent
 	tc.reserved += size
+	spare := tc.spare
+	tc.spare = nil
 	tc.mu.Unlock()
 
 	// Followers are released before the disk write-through, which can
@@ -242,7 +262,7 @@ func (e *Engine) generate(w workload.Workload, cfg workload.Config) (trace.Sourc
 	var p *trace.Packed
 	func() {
 		defer func() { tc.complete(w.Name, ent, p) }()
-		p, _ = trace.Pack(w.Make(cfg), length)
+		p, _ = trace.PackInto(spare, w.Make(cfg), length)
 	}()
 	if p == nil {
 		return w.Make(cfg), true

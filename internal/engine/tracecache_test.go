@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -289,5 +290,141 @@ func TestUnpackableTraceStreams(t *testing.T) {
 			t.Fatalf("%s: %d bytes reserved by %d memo entries, want none", name, reserved, entries)
 		}
 		e.traces.release(name)
+	}
+}
+
+// memoSpare reads the memo's spare trace.
+func memoSpare(e *Engine) *trace.Packed {
+	e.traces.mu.Lock()
+	defer e.traces.mu.Unlock()
+	return e.traces.spare
+}
+
+// TestReleasedTraceRecycled: the last release of a workload keeps its
+// trace as the spare while another workload is held, the next
+// generation packs into it and replays its own records, and the spare
+// is dropped once no workload is held.
+func TestReleasedTraceRecycled(t *testing.T) {
+	wcfg := workload.Config{CPUs: 2, Seed: 5, Length: 20_000}
+	e := New(Config{Workload: wcfg})
+	byName := func(name string) workload.Workload {
+		w, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	db2, dss := byName("oltp-db2"), byName("dss-q1")
+	e.traces.hold(db2.Name)
+	e.traces.hold(dss.Name)
+	src, _ := e.traceSource(db2)
+	trace.Collect(src, 0)
+	ent, _ := e.traces.lookup(db2.Name)
+	first := ent.packed
+	e.traces.release(db2.Name)
+	if got := memoSpare(e); got != first {
+		t.Fatalf("spare after releasing oltp-db2 = %p, want its trace %p", got, first)
+	}
+
+	src, generated := e.traceSource(dss)
+	if !generated {
+		t.Fatal("dss-q1 was not generated")
+	}
+	got := trace.Collect(src, 0)
+	want := trace.Collect(dss.Make(wcfg), 0)
+	if len(got) != len(want) {
+		t.Fatalf("recycled trace replayed %d records, generator %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("recycled trace record %d = %v, generator %v", i, got[i], want[i])
+		}
+	}
+	if ent, _ := e.traces.lookup(dss.Name); ent == nil || ent.packed != first {
+		t.Fatal("dss-q1 was not packed into the released trace")
+	}
+	if memoSpare(e) != nil {
+		t.Fatal("the spare stayed after a generation took it")
+	}
+
+	e.traces.release(dss.Name)
+	if memoSpare(e) != nil {
+		t.Fatal("an idle engine keeps a spare trace")
+	}
+	if reserved, entries := memoReserved(e); reserved != 0 || entries != 0 {
+		t.Fatalf("idle engine: %d bytes reserved by %d entries", reserved, entries)
+	}
+}
+
+// TestRecycledTraceNeverBacksLiveSource runs grids whose memo fits one
+// trace, so a workload's later cells pack into the trace the previous
+// workload released, and two traces, so generations also run while
+// other workloads' traces are replayed. Up to three cells read at once,
+// and every cell compares its records with the generator's; under
+// -race, a generation packing into a trace that a live source still
+// reads is also a reported race. Each grid must have recycled a trace,
+// and the idle engine holds none.
+func TestRecycledTraceNeverBacksLiveSource(t *testing.T) {
+	wcfg := workload.Config{CPUs: 2, Seed: 5, Length: 20_000}
+	names := []string{"oltp-db2", "dss-q1", "sparse", "ocean"}
+	want := make(map[string][]trace.Record)
+	for _, name := range names {
+		w, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[name] = trace.Collect(w.Make(wcfg), 0)
+	}
+	for _, halves := range []int64{3, 5} {
+		e := New(Config{Workload: wcfg, Parallel: 3})
+		e.traces.budget = trace.PackedBytes(wcfg.Length) * halves / 2
+		var mu sync.Mutex
+		served := make(map[*trace.Packed]map[string]bool)
+		plan := Plan{Name: "recycle"}
+		for _, name := range names {
+			for i := range 4 {
+				plan.Customs = append(plan.Customs, Custom{Workload: name, Key: string(rune('a' + i)),
+					Run: func(ctx context.Context, src trace.Source) (any, error) {
+						if _, ok := src.(*trace.PackedSource); ok {
+							ent, _ := e.traces.lookup(name)
+							if ent == nil {
+								return nil, fmt.Errorf("%s: a packed replay without a memo entry", name)
+							}
+							mu.Lock()
+							if served[ent.packed] == nil {
+								served[ent.packed] = make(map[string]bool)
+							}
+							served[ent.packed][name] = true
+							mu.Unlock()
+						}
+						got := trace.Collect(src, 0)
+						if len(got) != len(want[name]) {
+							return nil, fmt.Errorf("%s: %d records, generator %d", name, len(got), len(want[name]))
+						}
+						for i := range got {
+							if got[i] != want[name][i] {
+								return nil, fmt.Errorf("%s: record %d = %v, generator %v", name, i, got[i], want[name][i])
+							}
+						}
+						return nil, nil
+					}})
+			}
+		}
+		if _, err := e.Execute(context.Background(), plan); err != nil {
+			t.Fatalf("budget %d half traces: %v", halves, err)
+		}
+		recycled := false
+		for _, ws := range served {
+			recycled = recycled || len(ws) > 1
+		}
+		if !recycled {
+			t.Errorf("budget %d half traces: no trace was recycled across workloads (%d traces served)", halves, len(served))
+		}
+		if memoSpare(e) != nil {
+			t.Errorf("budget %d half traces: the idle engine keeps a spare trace", halves)
+		}
+		if reserved, entries := memoReserved(e); reserved != 0 || entries != 0 {
+			t.Errorf("budget %d half traces: %d bytes reserved by %d entries after the grid", halves, reserved, entries)
+		}
 	}
 }

@@ -63,10 +63,12 @@ type Stats struct {
 // Prefetcher is one CPU's next-line engine. It implements the
 // sim.Prefetcher interface.
 type Prefetcher struct {
-	cfg   Config
-	queue []mem.Addr
-	stats Stats
-	out   []mem.Addr // reused Drain result buffer (valid until next Drain)
+	cfg Config
+	// queue is a FIFO ring of QueueDepth slots: n addresses from head.
+	queue   []mem.Addr
+	head, n int
+	stats   Stats
+	out     []mem.Addr // reused Drain result buffer (valid until next Drain)
 }
 
 // New builds a next-line prefetcher.
@@ -78,7 +80,7 @@ func New(cfg Config) (*Prefetcher, error) {
 	if cfg.Degree < 0 || cfg.QueueDepth < 0 {
 		return nil, fmt.Errorf("nextline: negative degree or queue depth")
 	}
-	return &Prefetcher{cfg: cfg}, nil
+	return &Prefetcher{cfg: cfg, queue: make([]mem.Addr, cfg.QueueDepth)}, nil
 }
 
 // Config returns the resolved configuration.
@@ -95,11 +97,16 @@ func (p *Prefetcher) Train(rec trace.Record, acc *coherence.AccessResult) []mem.
 	bs := mem.Addr(p.cfg.BlockSize)
 	block := rec.Addr &^ (bs - 1)
 	for i := 1; i <= p.cfg.Degree; i++ {
-		if len(p.queue) >= p.cfg.QueueDepth {
+		if p.n == len(p.queue) {
 			p.stats.Dropped++
 			continue
 		}
-		p.queue = append(p.queue, block+mem.Addr(i)*bs)
+		tail := p.head + p.n
+		if tail >= len(p.queue) {
+			tail -= len(p.queue)
+		}
+		p.queue[tail] = block + mem.Addr(i)*bs
+		p.n++
 		p.stats.Scheduled++
 	}
 	return nil
@@ -109,16 +116,19 @@ func (p *Prefetcher) Train(rec trace.Record, acc *coherence.AccessResult) []mem.
 // buffer owned by the prefetcher, valid until the next Drain (the
 // sim.Prefetcher contract).
 func (p *Prefetcher) Drain(max int) []mem.Addr {
-	if max > len(p.queue) {
-		max = len(p.queue)
-	}
+	max = min(max, p.n)
 	if max <= 0 {
 		return nil
 	}
-	out := append(p.out[:0], p.queue[:max]...)
+	out := p.out[:0]
+	for range max {
+		out = append(out, p.queue[p.head])
+		if p.head++; p.head == len(p.queue) {
+			p.head = 0
+		}
+	}
 	p.out = out
-	n := copy(p.queue, p.queue[max:])
-	p.queue = p.queue[:n]
+	p.n -= max
 	return out
 }
 

@@ -1,6 +1,7 @@
 package nextline
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/coherence"
@@ -71,5 +72,40 @@ func TestQueueBound(t *testing.T) {
 	}
 	if got := p.Drain(100); len(got) != 6 {
 		t.Fatalf("queue held %d, want 6", len(got))
+	}
+}
+
+// TestQueueMatchesSliceFIFO drives the ring queue and a plain slice
+// FIFO with the same drop-at-QueueDepth rule through random Train and
+// Drain calls, so the head wraps many times: every Drain must return the
+// same addresses in the same order.
+func TestQueueMatchesSliceFIFO(t *testing.T) {
+	const depth = 7
+	p, _ := New(Config{Degree: 3, BlockSize: 64, QueueDepth: depth})
+	var ref []mem.Addr
+	rng := rand.New(rand.NewSource(3))
+	for op := 0; op < 20_000; op++ {
+		if rng.Intn(3) == 0 {
+			a := mem.Addr(rng.Intn(1<<20)) * 64
+			p.Train(trace.Record{Addr: a}, &coherence.AccessResult{})
+			for i := 1; i <= 3; i++ {
+				if len(ref) < depth {
+					ref = append(ref, a+mem.Addr(i)*64)
+				}
+			}
+			continue
+		}
+		max := rng.Intn(6)
+		got := p.Drain(max)
+		n := min(max, len(ref))
+		if len(got) != n {
+			t.Fatalf("op %d: Drain(%d) returned %d addresses, want %d", op, max, len(got), n)
+		}
+		for i := range got {
+			if got[i] != ref[i] {
+				t.Fatalf("op %d: Drain(%d)[%d] = %#x, want %#x", op, max, i, got[i], ref[i])
+			}
+		}
+		ref = ref[n:]
 	}
 }

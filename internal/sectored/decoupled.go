@@ -99,10 +99,11 @@ func (d *DecoupledSectored) Access(pc uint64, addr mem.Addr) AccessResult {
 
 	// Sector miss: whole-sector replacement, generation boundary.
 	d.demandMisses++
-	s, victim, had := d.tags.allocate(tag)
-	if had {
-		d.retire(victim)
+	j := d.tags.victim(tag)
+	if v := &d.tags.backing[j]; v.valid {
+		d.retire(v)
 	}
+	s := d.tags.install(j, tag)
 	d.stats.Triggers++
 	s.trig = sectorTrigger{pc: pc, addr: addr}
 	s.resident.Set(off)
@@ -135,14 +136,14 @@ func (d *DecoupledSectored) BlockRemoved(addr mem.Addr) {
 	tag := d.geo.RegionTag(addr)
 	off := d.geo.RegionOffset(addr)
 	if s := d.tags.find(tag); s != nil && s.accessed.Test(off) {
-		v, _ := d.tags.remove(tag)
-		d.retire(v)
+		d.retire(s)
+		d.tags.remove(tag)
 	}
 }
 
 // retire ends a generation: learn the accessed pattern, count streamed
 // blocks that were never used.
-func (d *DecoupledSectored) retire(v sector) {
+func (d *DecoupledSectored) retire(v *sector) {
 	unused := v.prefetched.AndNot(v.usedPref)
 	d.overpredictions += uint64(unused.PopCount())
 	if v.accessed.PopCount() < 2 {

@@ -69,10 +69,11 @@ func (l *LogicalSectored) Access(pc uint64, addr mem.Addr) {
 	}
 	// Sector miss: logical replacement ends the victim's generation —
 	// this is exactly where interleaving fragments patterns.
-	s, victim, had := l.tags.allocate(tag)
-	if had {
-		l.learn(victim)
+	j := l.tags.victim(tag)
+	if v := &l.tags.backing[j]; v.valid {
+		l.learn(v)
 	}
+	s := l.tags.install(j, tag)
 	l.stats.Triggers++
 	s.trig = sectorTrigger{pc: pc, addr: addr}
 	s.accessed.Set(off)
@@ -86,12 +87,12 @@ func (l *LogicalSectored) BlockRemoved(addr mem.Addr) {
 	tag := l.geo.RegionTag(addr)
 	off := l.geo.RegionOffset(addr)
 	if s := l.tags.find(tag); s != nil && s.accessed.Test(off) {
-		v, _ := l.tags.remove(tag)
-		l.learn(v)
+		l.learn(s)
+		l.tags.remove(tag)
 	}
 }
 
-func (l *LogicalSectored) learn(v sector) {
+func (l *LogicalSectored) learn(v *sector) {
 	if v.accessed.PopCount() < 2 {
 		return // nothing worth predicting (mirrors the AGT filter)
 	}

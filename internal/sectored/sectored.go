@@ -161,9 +161,10 @@ func (ta *tagArray) find(tag uint64) *sector {
 	return nil
 }
 
-// allocate victimizes the LRU way of tag's set and returns (new sector
-// slot, victim copy, had victim).
-func (ta *tagArray) allocate(tag uint64) (*sector, sector, bool) {
+// victim returns the slot an allocation of tag reuses: the first
+// invalid way of its set, else the LRU one. The caller ends a valid
+// victim's generation in place, then calls install.
+func (ta *tagArray) victim(tag uint64) int {
 	base := int(tag&ta.setMask) * ta.assoc
 	victim := 0
 	var oldest uint64 = ^uint64(0)
@@ -177,21 +178,20 @@ func (ta *tagArray) allocate(tag uint64) (*sector, sector, bool) {
 			victim = i
 		}
 	}
-	j := base + victim
-	v := ta.backing[j]
+	return base + victim
+}
+
+// install starts a fresh sector for tag in slot j and returns it. The
+// fields are stored in place: a sector literal would be built aside and
+// copied.
+func (ta *tagArray) install(j int, tag uint64) *sector {
 	ta.clock++
-	w := ta.geo.BlocksPerRegion()
-	ta.backing[j] = sector{
-		valid:      true,
-		tag:        tag,
-		accessed:   mem.NewPattern(w),
-		resident:   mem.NewPattern(w),
-		prefetched: mem.NewPattern(w),
-		usedPref:   mem.NewPattern(w),
-		lru:        ta.clock,
-	}
+	p := mem.NewPattern(ta.geo.BlocksPerRegion())
+	s := &ta.backing[j]
+	s.valid, s.tag, s.trig, s.lru = true, tag, sectorTrigger{}, ta.clock
+	s.accessed, s.resident, s.prefetched, s.usedPref = p, p, p, p
 	ta.keys[j] = tag + 1
-	return &ta.backing[j], v, v.valid
+	return s
 }
 
 func (ta *tagArray) touch(s *sector) {
@@ -199,20 +199,18 @@ func (ta *tagArray) touch(s *sector) {
 	s.lru = ta.clock
 }
 
-// remove invalidates the sector holding tag, returning a copy.
-func (ta *tagArray) remove(tag uint64) (sector, bool) {
+// remove invalidates the sector holding tag, which the caller has
+// retired in place.
+func (ta *tagArray) remove(tag uint64) {
 	base := int(tag&ta.setMask) * ta.assoc
 	k := tag + 1
 	for i, c := range ta.keys[base : base+ta.assoc] {
 		if c == k {
-			j := base + i
-			v := ta.backing[j]
-			ta.backing[j] = sector{}
-			ta.keys[j] = 0
-			return v, true
+			ta.backing[base+i] = sector{}
+			ta.keys[base+i] = 0
+			return
 		}
 	}
-	return sector{}, false
 }
 
 // Stats counts training-structure events shared by LS and DS.

@@ -494,77 +494,51 @@ func (r *Runner) issueStreams(cpu int) {
 }
 
 // stream applies one prefetch to the hierarchy at the engine's fill
-// level: L1 engines (SMS, LS) stream into L1, the rest into L2.
+// level: L1 engines (SMS, LS) stream into L1, the rest into L2. One pass
+// over the outcome does the stream's accounting, its overprediction
+// count and the generation trackers' evictions.
 func (r *Runner) stream(cpu int, a mem.Addr) {
-	if r.collecting() {
+	collecting := r.collecting()
+	if collecting {
 		r.res.StreamRequests++
 	}
 	sres := &r.sres
-	if r.fillL1 {
-		r.sys.StreamInto(sres, cpu, a)
-		if sres.AlreadyPresent {
-			// Dropped request: nothing filled, evicted or transferred.
-			return
-		}
-		for _, ev := range sres.L1Evictions {
-			r.pf[cpu].StreamEvicted(ev.Addr)
-		}
-		r.accountStreamTraffic(sres)
-		r.countStreamL2Evictions(sres)
-		r.trackStreamEvictions(cpu, sres)
-		return
-	}
-	r.sys.L2StreamInto(sres, cpu, a)
-	if sres.AlreadyPresent {
-		return
-	}
-	if r.collecting() {
-		r.res.OffChipBlocks++
-		for _, ev := range sres.L2Evictions {
-			if ev.Dirty {
+	if !r.fillL1 {
+		r.sys.L2StreamInto(sres, cpu, a)
+		if collecting && !sres.AlreadyPresent {
+			r.res.OffChipBlocks++
+			if sres.L2Evicted && sres.L2Victim.Dirty {
 				r.res.OffChipBlocks++
 			}
 		}
-	}
-}
-
-// accountStreamTraffic counts the off-chip transfers caused by an
-// L1-targeted stream fill.
-func (r *Runner) accountStreamTraffic(sres *coherence.StreamResult) {
-	if !r.collecting() {
 		return
 	}
-	if !sres.L2Hit {
-		r.res.OffChipBlocks++
+	r.sys.StreamInto(sres, cpu, a)
+	if sres.AlreadyPresent {
+		// Dropped request: nothing filled, evicted or transferred.
+		return
 	}
-	for _, ev := range sres.L2Evictions {
-		if ev.Dirty {
-			r.res.OffChipBlocks++
+	if sres.L1Evicted {
+		r.pf[cpu].StreamEvicted(sres.L1Victim.Addr)
+		if r.trackGens {
+			r.gensL1[cpu].remove(sres.L1Victim.Addr, collecting, r.res.DensityL1, &r.res.OracleGenerationsL1)
 		}
 	}
-}
-
-// trackStreamEvictions keeps the generation trackers coherent with lines
-// displaced by stream fills.
-func (r *Runner) trackStreamEvictions(cpu int, sres *coherence.StreamResult) {
-	if !r.trackGens {
-		return
+	if collecting && !sres.L2Hit {
+		r.res.OffChipBlocks++
 	}
-	for _, ev := range sres.L1Evictions {
-		r.gensL1[cpu].remove(ev.Addr, r.collecting(), r.res.DensityL1, &r.res.OracleGenerationsL1)
-	}
-	for _, ev := range sres.L2Evictions {
-		r.gensL2[cpu].remove(ev.Addr, r.collecting(), r.res.DensityL2, &r.res.OracleGenerationsL2)
-	}
-}
-
-func (r *Runner) countStreamL2Evictions(sres *coherence.StreamResult) {
-	if !r.collecting() {
-		return
-	}
-	for _, ev := range sres.L2Evictions {
-		if ev.PrefetchedUnused {
-			r.res.Overpredictions++
+	if sres.L2Evicted {
+		ev := &sres.L2Victim
+		if collecting {
+			if ev.Dirty {
+				r.res.OffChipBlocks++
+			}
+			if ev.PrefetchedUnused {
+				r.res.Overpredictions++
+			}
+		}
+		if r.trackGens {
+			r.gensL2[cpu].remove(ev.Addr, collecting, r.res.DensityL2, &r.res.OracleGenerationsL2)
 		}
 	}
 }

@@ -50,11 +50,20 @@ func PackedBytes(n uint64) int64 {
 // Pack reads up to n records from src, one batch at a time, into a
 // packed trace. It reports false, having consumed part of src, when a
 // record does not pack (see Packed).
-func Pack(src Source, n uint64) (*Packed, bool) {
-	p := &Packed{
-		recs: make([]packedRecord, n),
-		seqs: make([]uint64, 0, (n+packedCheckpoint-1)/packedCheckpoint),
+func Pack(src Source, n uint64) (*Packed, bool) { return PackInto(nil, src, n) }
+
+// PackInto is Pack into p's arrays when they have room for n records,
+// else (or when p is nil) into new ones, and returns the trace it
+// filled. p's earlier contents are lost, so no source may still replay
+// it.
+func PackInto(p *Packed, src Source, n uint64) (*Packed, bool) {
+	if p == nil || uint64(cap(p.recs)) < n {
+		p = &Packed{
+			recs: make([]packedRecord, n),
+			seqs: make([]uint64, 0, (n+packedCheckpoint-1)/packedCheckpoint),
+		}
 	}
+	p.recs, p.seqs = p.recs[:n], p.seqs[:0]
 	bs := Batched(src)
 	buf := make([]Record, min(n, packedBatch))
 	var i, prev uint64

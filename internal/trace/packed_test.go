@@ -122,3 +122,46 @@ func TestPackRefusesWideRecords(t *testing.T) {
 		}
 	}
 }
+
+// TestPackIntoReusesArrays: packing into a trace with room keeps its
+// arrays and replays exactly the new records, a shorter trace included;
+// a trace without room, or none, gets new arrays.
+func TestPackIntoReusesArrays(t *testing.T) {
+	cfg := workload.Config{CPUs: 2, Seed: 1, Length: 20_000}
+	gen := func(name string, n uint64) []trace.Record {
+		w, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cfg
+		c.Length = n
+		return trace.Collect(w.Make(c), 0)
+	}
+	pack := func(p *trace.Packed, recs []trace.Record) *trace.Packed {
+		t.Helper()
+		q, ok := trace.PackInto(p, trace.NewSliceSource(recs), uint64(len(recs)))
+		if !ok {
+			t.Fatal("trace does not pack")
+		}
+		got := trace.Collect(q.NewSource(), 0)
+		if len(got) != len(recs) {
+			t.Fatalf("replayed %d records, packed %d", len(got), len(recs))
+		}
+		for i := range got {
+			if got[i] != recs[i] {
+				t.Fatalf("record %d = %v, want %v", i, got[i], recs[i])
+			}
+		}
+		return q
+	}
+	p := pack(nil, gen("oltp-db2", 20_000))
+	if q := pack(p, gen("dss-q1", 20_000)); q != p {
+		t.Fatal("a trace of the same length did not reuse the arrays")
+	}
+	if q := pack(p, gen("web-apache", 5_000)); q != p {
+		t.Fatal("a shorter trace did not reuse the arrays")
+	}
+	if q := pack(p, gen("oltp-oracle", 30_000)); q == p {
+		t.Fatal("a longer trace was packed into arrays without room")
+	}
+}

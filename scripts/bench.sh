@@ -29,10 +29,10 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-HEADLINE='^(BenchmarkSimulatorThroughput|BenchmarkSampledThroughput|BenchmarkPipelinedThroughput|BenchmarkTraceGeneration|BenchmarkTraceReplay|BenchmarkFig8Training)$'
+HEADLINE='^(BenchmarkSimulatorThroughput|BenchmarkStreamThroughput|BenchmarkSampledThroughput|BenchmarkPipelinedThroughput|BenchmarkTraceGeneration|BenchmarkTraceReplay|BenchmarkFig8Training)$'
 # Benchmarks that must not allocate per record in steady state (the
 # hot paths), and whose ns/record the regression gate compares.
-ZERO_ALLOC='BenchmarkSimulatorThroughput|BenchmarkSampledThroughput|BenchmarkPipelinedThroughput|BenchmarkTraceGeneration|BenchmarkTraceReplay|BenchmarkMemoReplay'
+ZERO_ALLOC='BenchmarkSimulatorThroughput|BenchmarkStreamThroughput|BenchmarkSampledThroughput|BenchmarkPipelinedThroughput|BenchmarkTraceGeneration|BenchmarkTraceReplay|BenchmarkMemoReplay'
 
 # The machine environment every history entry records, and the key the
 # regression gate matches its baseline on.
